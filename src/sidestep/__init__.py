@@ -56,6 +56,7 @@ from .estimation import (
     ExpansionEstimate,
     TraceTable,
     detect_bases,
+    detect_levels,
     estimate_C_ell,
     exact_trace_table,
     find_smallest_j,

@@ -32,7 +32,7 @@ from .errors import (
 from .estimation import (
     DETECT_K_MIN,
     TraceTable,
-    detect_bases,
+    detect_levels,
     estimate_C_ell,
     fit_expansion,
     mc_expected_trace,
@@ -75,6 +75,16 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown field {key!r}", path)
 
 
+def _int(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are config errors."""
+    _require(
+        isinstance(value, int) and not isinstance(value, bool),
+        field,
+        f"must be an integer, got {value!r}",
+    )
+    return value
+
+
 def _plants(raw, path: str) -> tuple[Plant, ...]:
     out = []
     for i, p in enumerate(raw):
@@ -83,7 +93,8 @@ def _plants(raw, path: str) -> tuple[Plant, ...]:
         _check_keys(p, {"ell", "amplitude", "level"}, here)
         for key in ("ell", "amplitude", "level"):
             _require(key in p, f"{here}.{key}", "required field missing")
-        out.append(Plant(float(p["ell"]), float(p["amplitude"]), int(p["level"])))
+        level = _int(p["level"], f"{here}.level")
+        out.append(Plant(float(p["ell"]), float(p["amplitude"]), level))
     return tuple(out)
 
 
@@ -114,20 +125,21 @@ class Experiment:
         _require("model" in raw, "model", "required field missing")
         _require("n_grid" in raw, "n_grid", "required field missing")
         _require("m" in raw, "m", "required field missing")
-        self.seed = int(raw["seed"])
+        self.seed = _int(raw["seed"], "seed")
         grid = raw["n_grid"]
         _require(
             isinstance(grid, list) and len(grid) >= 1,
             "n_grid",
             "must be a nonempty list",
         )
-        self.n_grid = tuple(int(n) for n in grid)
+        self.n_grid = tuple(_int(n, f"n_grid[{i}]") for i, n in enumerate(grid))
         _require(
             all(b > a for a, b in zip(self.n_grid, self.n_grid[1:])),
             "n_grid",
             "must be strictly increasing",
         )
-        self.m = int(raw["m"])
+        _require(self.n_grid[0] >= 1, "n_grid", "entries must be >= 1")
+        self.m = _int(raw["m"], "m")
         _require(self.m >= 2, "m", "must be >= 2")
 
         model = raw["model"]
@@ -176,7 +188,7 @@ class Experiment:
             raise ConfigError(str(exc), "model") from exc
 
         horizon = trace_horizon(self.n_grid[0])
-        self.k_max = int(raw.get("k_max", min(20, horizon)))
+        self.k_max = _int(raw.get("k_max", min(20, horizon)), "k_max")
         _require(
             1 <= self.k_max <= horizon,
             "k_max",
@@ -185,7 +197,10 @@ class Experiment:
 
         fit = raw.get("fit", {})
         _check_keys(fit, {"r"}, "fit")
-        self.fit_r = int(fit.get("r", 2))
+        # the default order fits the grid, so analyze runs on any grid of
+        # at least two points
+        default_r = max(1, min(2, len(self.n_grid) - 1))
+        self.fit_r = _int(fit.get("r", default_r), "fit.r")
         _require(self.fit_r >= 1, "fit.r", "must be >= 1")
         if "fit" in raw:
             _require(
@@ -196,7 +211,11 @@ class Experiment:
 
         detect = raw.get("detect", {})
         _check_keys(detect, {"max_bases"}, "detect")
-        self.max_bases = int(detect.get("max_bases", 4))
+        # the default fits the detection window checked below
+        default_bases = max(1, min(4, (self.k_max - DETECT_K_MIN - 1) // 2))
+        self.max_bases = _int(
+            detect.get("max_bases", default_bases), "detect.max_bases"
+        )
         _require(self.max_bases >= 1, "detect.max_bases", "must be >= 1")
         if "detect" in raw:
             window = self.k_max - DETECT_K_MIN + 1
@@ -215,7 +234,7 @@ class Experiment:
         self.certify = None
         if cert is not None:
             _check_keys(cert, {"D", "L", "epsilon", "alpha", "theta"}, "certify")
-            d = int(cert.get("D", 2))
+            d = _int(cert.get("D", 2), "certify.D")
             _require(d >= 0 and d % 2 == 0, "certify.D", "must be even and >= 0")
             eps = float(cert.get("epsilon", 0.5))
             _require(eps > 0, "certify.epsilon", "must be positive")
@@ -346,20 +365,9 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
             for row, k in enumerate(est.ks)
         ],
     )
-    lam0, lam1 = exp.model.lambda0, exp.model.lambda1
-    est_d = est.restrict(DETECT_K_MIN)
-    levels = [
-        detect_bases(
-            est_d.level(i),
-            est_d.ks,
-            lam0,
-            lam1,
-            exp.max_bases,
-            level=i,
-            noise_cov=est_d.level_covariance(i),
-        )
-        for i in range(est.r)
-    ]
+    levels = detect_levels(
+        est, exp.model.lambda0, exp.model.lambda1, exp.max_bases
+    )
     j = next((i for i, found in enumerate(levels) if found), None)
     base_rows = [
         (d.level, d.ell, d.amplitude, d.residual) for found in levels for d in found

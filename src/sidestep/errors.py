@@ -49,10 +49,6 @@ class ProbabilityError(SidestepError):
     """A configured event probability falls outside [0, 1]."""
 
 
-class MultisetDifferenceError(SidestepError):
-    """Base eigenvalues could not be matched inside the lift spectrum."""
-
-
 class IllConditionedError(SidestepError):
     """The expansion fit system is too ill-conditioned to trust."""
 

@@ -348,20 +348,20 @@ def detect_bases(
     return []
 
 
-def find_smallest_j(
+def detect_levels(
     estimate: ExpansionEstimate,
     lambda0: float,
     lambda1: Optional[float] = None,
     max_bases: int = 4,
-) -> Optional[int]:
-    """Smallest level i whose fitted coefficient carries a base beyond lambda0.
+) -> list[list[DetectedBase]]:
+    """Bases beyond lambda0 in each fitted level, one list per level.
 
-    Returns None when every level up to r-1 is base-free.  Detection runs on
-    the k >= DETECT_K_MIN part of the window.
+    Detection runs on the k >= DETECT_K_MIN part of the window, with each
+    level's propagated covariance as its noise model.
     """
     est = estimate.restrict(DETECT_K_MIN)
-    for i in range(est.r):
-        found = detect_bases(
+    return [
+        detect_bases(
             est.level(i),
             est.ks,
             lambda0,
@@ -370,9 +370,22 @@ def find_smallest_j(
             level=i,
             noise_cov=est.level_covariance(i),
         )
-        if found:
-            return i
-    return None
+        for i in range(est.r)
+    ]
+
+
+def find_smallest_j(
+    estimate: ExpansionEstimate,
+    lambda0: float,
+    lambda1: Optional[float] = None,
+    max_bases: int = 4,
+) -> Optional[int]:
+    """Smallest level i whose fitted coefficient carries a base beyond lambda0.
+
+    Returns None when every level up to r-1 is base-free.
+    """
+    levels = detect_levels(estimate, lambda0, lambda1, max_bases)
+    return next((i for i, found in enumerate(levels) if found), None)
 
 
 def region_expectations(

@@ -12,8 +12,10 @@ Two families:
 * ``lift``: random degree-n permutation lifts of a fixed d-regular base
   graph.  Each base edge carries a uniform permutation; the lift adjacency
   spectrum minus one copy of the base spectrum is the new spectrum (size
-  v * (n-1)), optionally mapped through the directed-edge quadratic to the
-  circle/interval picture with lambda0 = sqrt(d-1), lambda1 = d - 1.
+  v * (n-1)), read off exactly from one eigensolve of the lift adjacency
+  with the base part deflated, and optionally mapped through the
+  directed-edge quadratic to the circle/interval picture with
+  lambda0 = sqrt(d-1), lambda1 = d - 1.
 
 Sampling is a pure function of (config, n, seed): streams come from a
 counter-based Philox generator keyed by seed and sample/edge indices.
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MultisetDifferenceError, ProbabilityError
+from .errors import ProbabilityError
 from .spectral import SpectrumSample, hashimoto_from_adjacency, sym_eigs
 
 def trace_horizon(n: int) -> int:
@@ -215,42 +217,22 @@ def _lift_adjacency(cfg: LiftConfig, n: int, seed) -> np.ndarray:
     return A
 
 
-def _remove_base_spectrum(lift_eigs: np.ndarray, base_eigs: np.ndarray) -> np.ndarray:
-    """Multiset difference with greedy nearest matching, tolerance 1e-6."""
-    values = np.sort(lift_eigs)
-    used = np.zeros(len(values), dtype=bool)
-    for b in np.sort(base_eigs):
-        idx = int(np.searchsorted(values, b))
-        best, best_dist = -1, np.inf
-        for j in (idx - 1, idx, idx + 1):
-            j0 = j
-            while 0 <= j0 < len(values) and used[j0]:
-                j0 += 1 if j >= idx else -1
-            if 0 <= j0 < len(values) and abs(values[j0] - b) < best_dist:
-                best, best_dist = j0, abs(values[j0] - b)
-        if best < 0 or best_dist > 1e-6:
-            raise MultisetDifferenceError(
-                f"base eigenvalue {b} not matched (nearest at distance {best_dist})"
-            )
-        used[best] = True
-    return values[~used]
-
-
 def lift_sample(cfg: LiftConfig, n: int, seed) -> SpectrumSample:
     """Sample a degree-n lift; return the new (non-inherited) spectrum.
 
-    The new adjacency spectrum has exactly v * (n - 1) entries; with
-    ``cfg.hashimoto`` it is mapped through the quadratic root map, doubling
-    the count.
+    The lift adjacency A commutes with the fiber average P = I_v (x) J_n/n,
+    and A P = B (x) J_n/n for the base adjacency B.  So the deflated matrix
+    A - (B + (d+1) I_v) (x) J_n/n has spectrum {-(d+1)}^v together with the
+    new spectrum, which lies in [-d, d]: dropping its v smallest eigenvalues
+    leaves exactly the v * (n - 1) new ones.  With ``cfg.hashimoto`` they are
+    mapped through the quadratic root map, doubling the count.
     """
     if n < 1:
         raise ValueError(f"lift degree must be >= 1, got {n}")
-    base_eigs = sym_eigs(cfg.base_adjacency.astype(float))
-    if n == 1:
-        new = np.array([])
-    else:
-        lift_eigs = sym_eigs(_lift_adjacency(cfg, n, seed))
-        new = _remove_base_spectrum(lift_eigs, base_eigs)
+    base = cfg.base_adjacency
+    v = base.shape[0]
+    shift = np.kron(base + (cfg.degree + 1) * np.eye(v), np.full((n, n), 1.0 / n))
+    new = sym_eigs(_lift_adjacency(cfg, n, seed) - shift)[v:]
     if cfg.hashimoto:
         eigs = hashimoto_from_adjacency(new, cfg.degree)
     else:
@@ -292,12 +274,10 @@ def model_validate(
     return ValidationReport(len(samples), total, bad, tuple(examples))
 
 
-class PlantedModel:
-    """Facade bundling a planted config with the sampler and oracle."""
+class _ModelFacade:
+    """A config with its envelope radii and dimension grid."""
 
-    kind = "planted"
-
-    def __init__(self, cfg: PlantedConfig):
+    def __init__(self, cfg):
         self.cfg = cfg
 
     @property
@@ -311,6 +291,12 @@ class PlantedModel:
     @property
     def n_grid(self) -> tuple[int, ...]:
         return self.cfg.n_grid
+
+
+class PlantedModel(_ModelFacade):
+    """Facade bundling a planted config with the sampler and oracle."""
+
+    kind = "planted"
 
     def sample(self, n: int, seed) -> SpectrumSample:
         return planted_sample(self.cfg, n, seed)
@@ -319,25 +305,10 @@ class PlantedModel:
         return planted_exact_trace(self.cfg, n, k)
 
 
-class LiftModel:
+class LiftModel(_ModelFacade):
     """Facade bundling a lift config with the sampler."""
 
     kind = "lift"
-
-    def __init__(self, cfg: LiftConfig):
-        self.cfg = cfg
-
-    @property
-    def lambda0(self) -> float:
-        return self.cfg.lambda0
-
-    @property
-    def lambda1(self) -> float:
-        return self.cfg.lambda1
-
-    @property
-    def n_grid(self) -> tuple[int, ...]:
-        return self.cfg.n_grid
 
     def sample(self, n: int, seed) -> SpectrumSample:
         return lift_sample(self.cfg, n, seed)

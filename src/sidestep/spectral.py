@@ -183,89 +183,25 @@ def mean_real_trace(
     return acc
 
 
-def _tournament_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Round-robin schedule covering every index pair once per sweep in
-    rounds of disjoint pairs (circle method; a dummy pads odd n)."""
-    size = n + (n % 2)
-    arr = list(range(size))
-    rounds = []
-    for _ in range(size - 1):
-        ps, qs = [], []
-        for i in range(size // 2):
-            p, q = arr[i], arr[size - 1 - i]
-            if p < n and q < n:
-                ps.append(min(p, q))
-                qs.append(max(p, q))
-        rounds.append((np.array(ps), np.array(qs)))
-        arr = [arr[0], arr[-1], *arr[1:-1]]
-    return rounds
-
-
 def sym_eigs(
     a: np.ndarray, want_vectors: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
-    Cyclic Jacobi rotations in tournament order (each sweep visits every
-    pair once, in rounds of disjoint pairs applied together), run until the
-    off-diagonal Frobenius norm drops below 1e-12 times the matrix norm,
-    capped at 60 sweeps.  With ``want_vectors`` also returns the orthogonal
+    LAPACK's symmetric solver (``np.linalg.eigvalsh`` / ``eigh``) on the
+    symmetrized input.  With ``want_vectors`` also returns the orthogonal
     eigenvector matrix (columns match the sorted eigenvalues).
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-9 * scale:
         raise NonSymmetricError("matrix is not symmetric within 1e-9")
     A = (A + A.T) / 2.0
-    norm = float(np.linalg.norm(A))
-    V = np.eye(n)
-    if n > 1 and norm > 0:
-        tol = 1e-12 * norm
-        rounds = _tournament_rounds(n)
-        for _ in range(60):
-            off = np.linalg.norm(A - np.diag(np.diag(A)))
-            if off <= tol:
-                break
-            # Rotations below this cannot reduce the off-norm meaningfully.
-            skip = (off / n) * 1e-9
-            for ps, qs in rounds:
-                apq = A[ps, qs]
-                active = np.abs(apq) > skip
-                if not active.any():
-                    continue
-                p = ps[active]
-                q = qs[active]
-                apq = apq[active]
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                root = np.sqrt(1.0 + tau * tau)
-                t = np.where(tau == 0, 1.0, np.sign(tau) / (np.abs(tau) + root))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # disjoint pairs: apply all column, then all row rotations;
-                # fancy indexing returns copies
-                col_p = A[:, p]
-                col_q = A[:, q]
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :]
-                row_q = A[q, :]
-                A[p, :] = c[:, None] * row_p - s[:, None] * row_q
-                A[q, :] = s[:, None] * row_p + c[:, None] * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p]
-                vq = V[:, q]
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
     if want_vectors:
-        return values, V[:, order]
-    return values
+        return np.linalg.eigh(A)
+    return np.linalg.eigvalsh(A)
 
 
 def hashimoto_from_adjacency(mus: Sequence[float], d: int) -> np.ndarray:

@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, WindowTooShortError
 from .estimation import (
-    DETECT_K_MIN,
     CEllEstimate,
     DetectedBase,
     ExpansionEstimate,
     TraceTable,
-    detect_bases,
+    detect_levels,
     estimate_C_ell,
     region_expectations,
 )
@@ -330,17 +329,9 @@ def certify_real_trace_bound(
     lam0, lam1 = model.lambda0, model.lambda1
     d_sufficient = d >= 1 or estimate is None
     if estimate is not None and points:
-        detected = []
-        est = estimate.restrict(DETECT_K_MIN)
-        for i in range(est.r):
-            detected += detect_bases(
-                est.level(i),
-                est.ks,
-                lam0,
-                lam1,
-                level=i,
-                noise_cov=est.level_covariance(i),
-            )
+        detected = [
+            db for found in detect_levels(estimate, lam0, lam1) for db in found
+        ]
         covered = all(
             any(abs(db.ell - p) <= 0.05 * max(1.0, abs(p)) for p in points)
             for db in detected
@@ -552,17 +543,8 @@ def verify_sidestep(
     if len(n_grid) < r + 1:
         raise ValueError(f"need at least {r + 1} grid points for level {j}")
     est = fit_expansion(tables, r)
-    est_d = est.restrict(DETECT_K_MIN)
     detected = tuple(
-        detect_bases(
-            est_d.level(j),
-            est_d.ks,
-            model.lambda0,
-            model.lambda1,
-            max_bases,
-            level=j,
-            noise_cov=est_d.level_covariance(j),
-        )
+        detect_levels(est, model.lambda0, model.lambda1, max_bases)[j]
     )
     points = tuple(d.ell for d in detected)
     rows = []

@@ -343,6 +343,37 @@ def test_criterion_7_determinism(tmp_path):
     )
 
 
+LIFT_CONFIG = {
+    "schema": "sidestep-config/1",
+    "seed": SEED,
+    "model": {
+        "kind": "lift",
+        "base_adjacency": ss.complete_graph(4).tolist(),
+        "hashimoto": True,
+    },
+    "n_grid": [25, 40, 60],
+    "m": 6,
+    "k_max": 12,
+}
+
+
+def test_lift_determinism(tmp_path):
+    """Same lift config and seed produce byte-identical run and analyze
+    outputs (LAPACK results are fixed for a fixed OPENBLAS_NUM_THREADS)."""
+    cfg_path = tmp_path / "lift.json"
+    cfg_path.write_text(json.dumps(LIFT_CONFIG))
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        for command in ("run", "analyze"):
+            args = [command, "--config", str(cfg_path), "--out", str(out)]
+            assert cli_main(args) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "spectra_n60.csv" in names and "analysis.txt" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_criterion_8_negative_controls(tmp_path):
     """Certificates must fail when misconfigured."""
     # (a) plant base omitted from L with alpha = 2: exit code 5

@@ -9,6 +9,7 @@ import pytest
 
 from sidestep.cli import main
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BASE_CONFIG = {
     "schema": "sidestep-config/1",
     "seed": 20240901,
@@ -105,6 +106,27 @@ def test_bad_schema_version(tmp_path):
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", "abc"),
+        ("n_grid", [100.7, 200, 400]),
+        ("m", True),
+        ("k_max", 18.0),
+        ("fit.r", "2"),
+        ("detect.max_bases", 3.5),
+        ("certify.D", 2.0),
+        ("model.plants", [{"ell": 2.0, "amplitude": 5.0, "level": "1"}]),
+        ("n_grid", [0, 100, 400]),
+    ],
+)
+def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, overrides={field: value})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_odd_certify_degree_exits_2(tmp_path):
     cfg = write_config(tmp_path, overrides={"certify.D": 3})
     assert run_cli("certify", "--config", cfg, "--out", tmp_path / "o") == 2
@@ -169,6 +191,22 @@ def test_shipped_demo_configs_validate():
     for name in ("demo.json", "lift_demo.json"):
         exp = load_experiment(root / name)
         assert exp.n_grid[0] >= 1
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+)
+def test_shipped_config_full_pipeline(tmp_path, name):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["m"] = min(raw["m"], 2000)
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(raw))
+    commands = ["run", "analyze"]
+    commands += ["certify"] if "certify" in raw else []
+    commands += ["report"]
+    for command in commands:
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 0, f"{name}: {command} exited {code}"
 
 
 def test_env_var_threads(tmp_path, monkeypatch):

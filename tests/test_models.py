@@ -188,6 +188,27 @@ def test_lift_contains_base_spectrum():
     assert np.allclose(base, [-1, -1, -1, 3], atol=1e-10)
 
 
+def _bipartite_k33() -> np.ndarray:
+    return np.kron(np.array([[0, 1], [1, 0]]), np.ones((3, 3), dtype=int))
+
+
+@pytest.mark.parametrize("hashimoto", [False, True])
+@pytest.mark.parametrize("base", [complete_graph(4), _bipartite_k33()])
+def test_lift_new_spectrum_matches_full_eigensolve(base, hashimoto):
+    # new spectrum plus one copy of the base spectrum is the whole lift
+    # adjacency spectrum; K3,3 also has -d in its base spectrum
+    from sidestep.models import _lift_adjacency
+
+    for n, seed in ((7, 0), (20, 1), (33, (4, 2))):
+        cfg = LiftConfig(base, (n,), hashimoto=hashimoto)
+        eigs = lift_sample(cfg, n, seed).eigenvalues
+        # each directed-edge pair of roots sums to its adjacency eigenvalue
+        new = (eigs[0::2] + eigs[1::2]).real if hashimoto else eigs.real
+        got = np.sort(np.concatenate([new, np.linalg.eigvalsh(base)]))
+        want = np.linalg.eigvalsh(_lift_adjacency(cfg, n, seed))
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_lift_spectrum_location_baseline():
     # desk-scale Monte Carlo baseline, recorded rather than asserted as a
     # theorem: most new directed-edge eigenvalues sit in the circle of
