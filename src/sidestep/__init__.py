@@ -28,6 +28,7 @@ from .shiftops import (
 )
 from .spectral import (
     Region,
+    Spectra,
     SpectrumSample,
     ein_eout,
     hashimoto_from_adjacency,
@@ -42,8 +43,10 @@ from .models import (
     Plant,
     PlantedConfig,
     PlantedModel,
+    StoredModel,
     ValidationReport,
     complete_graph,
+    draw_spectra,
     lift_sample,
     model_validate,
     planted_exact_trace,

@@ -4,7 +4,8 @@ Subcommands: run, analyze, certify, report.  A JSON experiment config with
 schema field "sidestep-config/1" selects the model, dimension grid, sample
 counts, and pipeline parameters; unknown fields are rejected.  Outputs are
 plot-ready CSV files plus short text summaries; identical config and seed
-produce byte-identical files.
+produce byte-identical files.  ``run`` draws every sample once and keeps
+the spectra in ``spectra_n{n}.npz``; analyze and certify read that store.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
 5 certificate failure.
@@ -13,10 +14,11 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+import zipfile
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Sequence
 
@@ -43,11 +45,13 @@ from .models import (
     Plant,
     PlantedConfig,
     PlantedModel,
-    sample_seed,
+    StoredModel,
+    draw_spectra,
     trace_horizon,
 )
 from .polyexp import Polyexponential
 from .shiftops import annihilator
+from .spectral import Spectra
 from .theorem import (
     certify_markov,
     certify_real_trace_bound,
@@ -283,11 +287,21 @@ def _trace_path(out: Path, n: int) -> Path:
     return out / f"trace_n{n}.csv"
 
 
+def _spectra_path(out: Path, n: int) -> Path:
+    return out / f"spectra_n{n}.npz"
+
+
 def cmd_run(exp: Experiment, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
+    lift = exp.model.kind == "lift"
     for n in exp.n_grid:
-        table = mc_expected_trace(exp.model, n, exp.k_max, exp.m, exp.seed)
+        draws = []  # full lift spectra, for the CSV
+        spectra = draw_spectra(
+            exp.model, n, exp.m, exp.seed, draws.append if lift else None
+        )
+        stored = StoredModel(exp.model, {n: spectra})
+        table = mc_expected_trace(stored, n, exp.k_max, exp.m, exp.seed)
         _write_csv(
             _trace_path(out, n),
             ["n", "k", "mean", "stderr"],
@@ -303,15 +317,10 @@ def cmd_run(exp: Experiment, out: Path) -> int:
             for j in range(i, len(table.ks))
         ]
         _write_csv(out / f"trace_cov_n{n}.csv", ["k_row", "k_col", "cov"], cov_rows)
-        dim = exp.model.sample(n, sample_seed(exp.seed, n, 0)).n
-        summary_rows.append((n, exp.m, exp.k_max, dim))
-        if exp.model.kind == "lift":
-            rows = []
-            for i in range(exp.m):
-                s = exp.model.sample(n, sample_seed(exp.seed, n, i))
-                rows += [
-                    (i, z.real, z.imag) for z in np.asarray(s.eigenvalues)
-                ]
+        spectra.save(_spectra_path(out, n))
+        summary_rows.append((n, exp.m, exp.k_max, spectra.dim))
+        if lift:
+            rows = [(i, z.real, z.imag) for i, eigs in enumerate(draws) for z in eigs]
             _write_csv(out / f"spectra_n{n}.csv", ["sample_id", "re", "im"], rows)
     _write_csv(
         out / "run_summary.csv",
@@ -354,8 +363,49 @@ def _load_tables(exp: Experiment, out: Path) -> list[TraceTable]:
     return tables
 
 
+def _load_spectra(exp: Experiment, out: Path, n: int) -> Spectra:
+    """The run's spectrum store for n, checked against this command's m and seed."""
+    path = _spectra_path(out, n)
+    if not path.exists():
+        raise MissingInputError(f"missing run output {path}; run 'run' first")
+    try:
+        spectra = Spectra.load(path)
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise MissingInputError(f"unreadable spectrum store {path}: {exc}") from exc
+    for field, want in (("n", n), ("m", exp.m), ("seed", exp.seed)):
+        got = getattr(spectra, field)
+        if got != want:
+            raise MissingInputError(
+                f"spectrum store {path} has {field}={got}, but this command "
+                f"uses {field}={want}; rerun 'run' with the same config and --seed"
+            )
+    return spectra
+
+
+class _SpectraFiles(Mapping):
+    """The run's spectrum stores by n, each read from disk when looked up,
+    so that one dimension's draws are in memory at a time.  Every store is
+    checked once on creation, before the command writes anything."""
+
+    def __init__(self, exp: Experiment, out: Path):
+        self.exp, self.out = exp, out
+        for n in exp.n_grid:
+            _load_spectra(exp, out, n)
+
+    def __getitem__(self, n: int) -> Spectra:
+        return _load_spectra(self.exp, self.out, n)
+
+    def __iter__(self):
+        return iter(self.exp.n_grid)
+
+    def __len__(self) -> int:
+        return len(self.exp.n_grid)
+
+
 def cmd_analyze(exp: Experiment, out: Path) -> int:
     tables = _load_tables(exp, out)
+    model = StoredModel(exp.model, _SpectraFiles(exp, out))
     est = fit_expansion(tables, exp.fit_r)
     _write_csv(
         out / "expansion.csv",
@@ -383,7 +433,7 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
     else:
         for det in levels[j]:
             ce = estimate_C_ell(
-                exp.model, det.ell, j, exp.theta, exp.n_grid, exp.m, exp.seed
+                model, det.ell, j, exp.theta, exp.n_grid, exp.m, exp.seed
             )
             for n, val in ce.per_n:
                 c_rows.append((det.ell, n, val))
@@ -413,6 +463,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     if exp.certify is None:
         raise ConfigError("certify section required for the certify command", "certify")
     tables = _load_tables(exp, out)
+    store = _SpectraFiles(exp, out)
     cert_cfg = exp.certify
     lam0 = exp.model.lambda0
     d = cert_cfg["D"]
@@ -433,13 +484,8 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         k_cap = exp.k_max - d * max(1, len(bases))
         k = max(2, min(k_target, k_cap - (k_cap % 2)))
         count = min(exp.m, 200)
-        weight = 1.0 / count
-        samples = [
-            dataclasses.replace(
-                exp.model.sample(n, sample_seed(exp.seed, n, i)), weight=weight
-            )
-            for i in range(count)
-        ]
+        spectra = store[n]
+        samples = [spectra.sample(i, weight=1.0 / count) for i in range(count)]
         cert = certify_markov(samples, d, bases, theta, eps, k, n, lam0)
         rows.append(
             ("markov", n, k, cert.lhs, cert.rhs, cert.slack, cert.passed)
@@ -448,8 +494,9 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
             failures.append(("markov", n, cert.slack))
 
     # Exceptional-eigenvalue decay across the grid.
+    stored = StoredModel(exp.model, store)
     report = verify_exceptional_bound(
-        exp.model, params, bases, theta, exp.n_grid, exp.m, exp.seed
+        stored, params, bases, theta, exp.n_grid, exp.m, exp.seed
     )
     for row in report.rows:
         rows.append(
@@ -583,7 +630,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingInputError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (IllConditionedError, SidestepError, ValueError) as exc:
+    except IllConditionedError as exc:
+        context = ", ".join(f"{k}={v}" for k, v in exc.diagnostics.items())
+        print(f"numeric failure: {exc} ({context})", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (SidestepError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # contract allows no exit codes beyond 0/2/3/4/5

@@ -1,10 +1,11 @@
 """Monte Carlo trace estimation, 1/n expansion fitting, and base detection.
 
-The pipeline: sample spectra, tabulate mean power sums per k with standard
-errors, fit the coefficients of the expansion in powers of 1/n across the
-dimension grid by weighted least squares, locate real exponential bases in
-a fitted coefficient sequence with the matrix-pencil method, and estimate
-outlier weights by counting eigenvalues in shrinking windows.
+The pipeline: sample spectra once per dimension (``model.spectra``),
+tabulate mean power sums per k with standard errors, fit the coefficients
+of the expansion in powers of 1/n across the dimension grid by weighted
+least squares, locate real exponential bases in a fitted coefficient
+sequence with the matrix-pencil method, and estimate outlier weights by
+counting eigenvalues in shrinking windows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, WindowTooShortError
-from .models import sample_seed, trace_horizon
+from .models import trace_horizon
 from .spectral import Region
 
 # Matrix-pencil settings.
@@ -74,13 +75,16 @@ class TraceTable:
 def mc_expected_trace(model, n: int, k_max: int, m: int, seed: int) -> TraceTable:
     """Monte Carlo estimate of the mean power-sum trace for k = 1..k_max.
 
-    Samples are generated in seed-indexed chunks and reduced in chunk order,
-    so the result is deterministic in (model, n, k_max, m, seed).
+    Reads the draws from ``model.spectra(n, m, seed)`` and reduces them in
+    fixed chunks in draw order, so the result is deterministic in (model,
+    n, k_max, m, seed).
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
+    spectra = model.spectra(n, m, seed)
+    values, offsets = spectra.values, spectra.offsets.tolist()
     ks = np.arange(1, k_max + 1)
     total = np.zeros(k_max)
     total_outer = np.zeros((k_max, k_max))
@@ -90,8 +94,7 @@ def mc_expected_trace(model, n: int, k_max: int, m: int, seed: int) -> TraceTabl
         chunk = np.zeros(k_max)
         chunk_outer = np.zeros((k_max, k_max))
         for i in range(done, done + count):
-            eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
-            nz = eigs[eigs != 0]
+            nz = values[offsets[i] : offsets[i + 1]]
             if len(nz):
                 t = np.real(np.sum(nz[None, :] ** ks[:, None], axis=1))
                 chunk += t
@@ -391,17 +394,11 @@ def find_smallest_j(
 def region_expectations(
     model, n: int, m: int, seed: int, regions: Sequence[Region]
 ) -> list[tuple[float, float]]:
-    """Empirical (ein, eout) for several regions in one pass over m samples."""
-    counts = np.zeros(len(regions))
-    dim = None
-    for i in range(m):
-        s = model.sample(n, sample_seed(seed, n, i))
-        if dim is None:
-            dim = s.n
-        for j, region in enumerate(regions):
-            counts[j] += int(np.count_nonzero(region.member_mask(s.eigenvalues)))
-    eins = counts / m
-    return [(float(e), float(dim - e)) for e in eins]
+    """Empirical (ein, eout) for several regions over the m draws of
+    ``model.spectra(n, m, seed)``."""
+    spectra = model.spectra(n, m, seed)
+    eins = np.array([spectra.region_count(r) for r in regions], dtype=float) / m
+    return [(float(e), float(spectra.dim - e)) for e in eins]
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,20 @@ Two families:
 
 Sampling is a pure function of (config, n, seed): streams come from a
 counter-based Philox generator keyed by seed and sample/edge indices.
+``draw_spectra`` is the one loop over the draws i = 0..m-1 of a dimension;
+its ``Spectra`` store feeds every statistic, so no draw is made twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ProbabilityError
-from .spectral import SpectrumSample, hashimoto_from_adjacency, sym_eigs
+from .errors import DimensionMismatchError, ProbabilityError
+from .spectral import Spectra, SpectrumSample, hashimoto_from_adjacency, sym_eigs
 
 def trace_horizon(n: int) -> int:
     """Default trace horizon K(n): smallest even integer >= (log n)**2."""
@@ -53,6 +55,39 @@ def _rng(seed, *key: int) -> np.random.Generator:
 def sample_seed(seed: int, n: int, index: int) -> np.random.SeedSequence:
     """Per-draw seed stream: deterministic in (seed, n, index)."""
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), int(index)))
+
+
+def draw_spectra(
+    model,
+    n: int,
+    m: int,
+    seed: int,
+    on_draw: Optional[Callable[[np.ndarray], None]] = None,
+) -> Spectra:
+    """Draw samples i = 0..m-1 of dimension n once and keep their spectra.
+
+    ``on_draw``, when given, is called with each draw's full eigenvalue
+    array, in draw order, zeros included.
+    """
+    if m < 1:
+        raise ValueError(f"need at least 1 sample, got {m}")
+    parts = []
+    sizes = np.zeros(m + 1, dtype=np.int64)
+    dim = None
+    for i in range(m):
+        eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
+        if dim is None:
+            dim = len(eigs)
+        elif len(eigs) != dim:
+            raise DimensionMismatchError(f"sample dimension {len(eigs)} != {dim}")
+        if on_draw is not None:
+            on_draw(eigs)
+        nonzero = eigs[eigs != 0]
+        parts.append(nonzero)
+        sizes[i + 1] = len(nonzero)
+        if len(parts) == 4096:  # bound the count of small arrays alive
+            parts = [np.concatenate(parts)]
+    return Spectra(n, m, seed, dim, np.concatenate(parts), np.cumsum(sizes))
 
 
 @dataclass(frozen=True)
@@ -292,6 +327,9 @@ class _ModelFacade:
     def n_grid(self) -> tuple[int, ...]:
         return self.cfg.n_grid
 
+    def spectra(self, n: int, m: int, seed: int) -> Spectra:
+        return draw_spectra(self, n, m, seed)
+
 
 class PlantedModel(_ModelFacade):
     """Facade bundling a planted config with the sampler and oracle."""
@@ -312,3 +350,27 @@ class LiftModel(_ModelFacade):
 
     def sample(self, n: int, seed) -> SpectrumSample:
         return lift_sample(self.cfg, n, seed)
+
+
+class StoredModel:
+    """A model whose ``spectra`` are draws made earlier, looked up by n.
+
+    Every other attribute (``sample``, ``lambda0``, ``lambda1``, ``n_grid``,
+    ``kind``, ...) is the wrapped model's, so fresh draws stay possible.
+    """
+
+    def __init__(self, model, store: Mapping[int, Spectra]):
+        self.model = model
+        self.store = store
+
+    def spectra(self, n: int, m: int, seed: int) -> Spectra:
+        s = self.store[n]
+        if (s.n, s.m, s.seed) != (n, m, seed):
+            raise ValueError(
+                f"stored spectra hold (n={s.n}, m={s.m}, seed={s.seed}), "
+                f"asked for (n={n}, m={m}, seed={seed})"
+            )
+        return s
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)

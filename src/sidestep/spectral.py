@@ -85,6 +85,80 @@ class SpectrumSample:
             raise ValueError("n must match the number of eigenvalues")
 
 
+@dataclass(frozen=True, eq=False)
+class Spectra:
+    """All m draws of dimension n under one seed, stored compactly.
+
+    ``values`` holds the nonzero eigenvalues of every draw, concatenated in
+    draw order; draw i owns ``values[offsets[i]:offsets[i + 1]]`` and
+    ``dim`` minus that many zeros.  A zero adds nothing to a power sum and
+    lies in a region or not as a whole, so the store answers every count
+    and trace question about the draws exactly.
+    """
+
+    n: int
+    m: int
+    seed: int
+    dim: int
+    values: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.complex128)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if values.ndim != 1 or offsets.shape != (self.m + 1,):
+            raise ValueError("need 1-d values and m + 1 offsets")
+        sizes = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != len(values):
+            raise ValueError("offsets must run from 0 to len(values)")
+        if np.any(sizes < 0) or np.any(sizes > self.dim):
+            raise ValueError(f"each draw must keep 0..dim={self.dim} values")
+        if np.any(values == 0):
+            raise ValueError("stored values must be nonzero")
+        for arr in (values, offsets):
+            arr.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "offsets", offsets)
+
+    def sample(self, i: int, weight: float = 1.0) -> SpectrumSample:
+        """Draw i with its zeros appended."""
+        eigs = np.zeros(self.dim, dtype=complex)
+        nonzero = self.values[self.offsets[i] : self.offsets[i + 1]]
+        eigs[: len(nonzero)] = nonzero
+        return SpectrumSample(eigs, weight=weight, n=self.dim)
+
+    def region_count(self, region: Region) -> int:
+        """Eigenvalues inside the region, summed over all m draws."""
+        inside = int(np.count_nonzero(region.member_mask(self.values)))
+        if region.member_mask(np.zeros(1, dtype=complex))[0]:
+            inside += self.m * self.dim - len(self.values)
+        return inside
+
+    def save(self, path) -> None:
+        """Write an uncompressed ``.npz``; equal stores give equal bytes."""
+        np.savez(
+            path,
+            n=self.n,
+            m=self.m,
+            seed=str(self.seed),  # any int, without pickling
+            dim=self.dim,
+            values=self.values,
+            offsets=self.offsets,
+        )
+
+    @classmethod
+    def load(cls, path) -> "Spectra":
+        with np.load(path) as data:
+            return cls(
+                int(data["n"]),
+                int(data["m"]),
+                int(str(data["seed"])),
+                int(data["dim"]),
+                data["values"],
+                data["offsets"],
+            )
+
+
 def ein_eout(samples: Iterable[SpectrumSample], region: Region) -> tuple[float, float]:
     """Expected number of eigenvalues inside / outside the region.
 

@@ -38,7 +38,7 @@ from .estimation import (
     region_expectations,
 )
 from .shiftops import ShiftPolynomial, annihilator, sp_apply_seq
-from .models import sample_seed
+from .models import StoredModel, sample_seed
 from .spectral import Region, SpectrumSample, ein_eout, mean_real_trace
 
 # Multiplicative headroom on the strict-inequality choice of kappa.
@@ -529,13 +529,16 @@ def verify_sidestep(
     Fits the expansion to order j+2, detects the level-j bases, then checks
     (a) the n**j-scaled eout of the union region trends to zero across the
     grid and (b) the n**j-scaled window count near each base agrees with the
-    detected amplitude within ``amplitude_match_tol``.  At desk scale theta
-    defaults to 0.3 for window isolation; whether theta <= theta1 is
-    recorded in the context rather than enforced.
+    detected amplitude within ``amplitude_match_tol``.  Each (n, i) sample
+    is drawn once.  At desk scale theta defaults to 0.3 for window
+    isolation; whether theta <= theta1 is recorded in the context rather
+    than enforced.
     """
     from .estimation import fit_expansion, mc_expected_trace
 
     n_grid = sorted(int(n) for n in n_grid)
+    # one set of draws per n feeds the tables, the eout rows and the counts
+    model = StoredModel(model, {n: model.spectra(n, m, seed) for n in n_grid})
     if tables is None:
         tables = [mc_expected_trace(model, n, k_max, m, seed) for n in n_grid]
     # one remainder level beyond j when the grid affords it

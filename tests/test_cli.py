@@ -295,3 +295,117 @@ def test_threads_flag_validated(tmp_path):
     cfg = write_config(tmp_path)
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--threads", 0) == 2
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o2", "--threads", 2) == 0
+
+
+def count_draws(monkeypatch, model_cls):
+    calls = []
+    original = model_cls.sample
+
+    def counted(self, n, seed):
+        calls.append(n)
+        return original(self, n, seed)
+
+    monkeypatch.setattr(model_cls, "sample", counted)
+    return calls
+
+
+def test_each_sample_drawn_once_per_pipeline(tmp_path, monkeypatch):
+    from sidestep.models import PlantedModel
+
+    # the acceptance criterion 7 config
+    cfg = write_config(tmp_path, overrides={"seed": 20250809, "m": 4000})
+    out = tmp_path / "out"
+    calls = count_draws(monkeypatch, PlantedModel)
+    drawn = {}
+    for command in ("run", "analyze", "certify"):
+        before = len(calls)
+        assert run_cli(command, "--config", cfg, "--out", out) == 0
+        drawn[command] = len(calls) - before
+    assert drawn == {"run": 4000 * 3, "analyze": 0, "certify": 0}
+
+
+K4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+
+
+def test_lift_run_draws_each_sample_once(tmp_path, monkeypatch):
+    from sidestep.models import LiftModel
+
+    cfg = write_config(
+        tmp_path,
+        overrides={
+            "model": {"kind": "lift", "base_adjacency": K4, "hashimoto": True},
+            "n_grid": [3, 5],
+            "m": 3,
+            "k_max": 2,
+        },
+        drop=["certify", "fit", "detect"],
+    )
+    calls = count_draws(monkeypatch, LiftModel)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert len(calls) == 3 * 2
+
+
+
+def test_analyze_without_spectrum_store_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    (out / "spectra_n200.npz").unlink()
+    assert (out / "trace_n200.csv").exists()
+    capsys.readouterr()
+    assert run_cli("analyze", "--config", cfg, "--out", out) == 4
+    assert "spectra_n200.npz" in capsys.readouterr().err
+
+
+def test_seed_override_must_match_store(tmp_path, capsys):
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", "--config", cfg, "--out", out, "--seed", 7) == 4
+    err = capsys.readouterr().err
+    assert "spectra_n100.npz" in err and "seed=20240901" in err and "seed=7" in err
+
+
+def test_certify_on_store_from_other_m_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    cfg = write_config(tmp_path, overrides={"m": 400})
+    capsys.readouterr()
+    assert run_cli("certify", "--config", cfg, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "spectra_n100.npz" in err and "m=500" in err and "m=400" in err
+    assert not (out / "certificates.csv").exists()
+
+
+def test_unreadable_spectrum_store_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    (out / "spectra_n400.npz").write_bytes(b"not a zip archive")
+    capsys.readouterr()
+    assert run_cli("certify", "--config", cfg, "--out", out) == 4
+    assert "spectra_n400.npz" in capsys.readouterr().err
+
+
+def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):
+    from sidestep import cli
+    from sidestep.errors import IllConditionedError
+
+    def ill_conditioned(tables, r):
+        raise IllConditionedError(
+            "fit system condition 2.000e+13 exceeds 1e12 at k=7",
+            condition=2e13,
+            diagnostics={"k": 7, "n_grid": (100, 200, 400), "r": r},
+        )
+
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    monkeypatch.setattr(cli, "fit_expansion", ill_conditioned)
+    capsys.readouterr()
+    assert run_cli("analyze", "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "(k=7, n_grid=(100, 200, 400), r=2)" in err

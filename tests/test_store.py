@@ -1,0 +1,193 @@
+"""Spectrum store: one draw per sample, exact region counts, exact reuse."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sidestep import (
+    Plant,
+    PlantedConfig,
+    PlantedModel,
+    Region,
+    Spectra,
+    SpectrumSample,
+    StoredModel,
+    draw_spectra,
+    mc_expected_trace,
+    region_contains,
+    sidestep_params,
+    verify_sidestep,
+)
+from sidestep.estimation import region_expectations
+from sidestep.models import sample_seed
+
+
+class FixedDraws:
+    """A model whose draw i is a given eigenvalue array."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def sample(self, n, seed):
+        return SpectrumSample(self.draws[seed.spawn_key[-1]])
+
+
+def demo_model(n_grid=(100, 200, 400)):
+    cfg = PlantedConfig(1.0, 4.0, n_grid, (0.5,), (Plant(2.0, 5.0, 1),))
+    return PlantedModel(cfg)
+
+
+# eigenvalues: exact zeros, points on region boundaries, values near 0
+SPECIAL = [0.0, -0.0, 1e-12, -1e-12, 0.5, 1.0, 1.5, 2.0, -2.0, 2.0 + 1e-9, 1j, -1j]
+reals = st.floats(-4, 4, allow_nan=False)
+eigenvalue = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.builds(complex, reals, st.one_of(st.just(0.0), reals)),
+)
+regions = st.builds(
+    Region,
+    center_radius=st.one_of(st.none(), st.just(0.0), st.floats(0, 3)),
+    points=st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-12, -1e-9, 2.0, -2.0]), reals),
+        max_size=3,
+    ),
+    point_radius=st.one_of(st.just(0.0), st.floats(0, 1)),
+)
+
+
+@st.composite
+def draw_sets(draw):
+    dim = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(
+            st.lists(eigenvalue, min_size=dim, max_size=dim), min_size=m, max_size=m
+        )
+    )
+    return [np.array(r, dtype=complex) for r in rows]
+
+
+@settings(deadline=None)
+@given(draws=draw_sets(), region=regions)
+def test_region_count_matches_full_arrays(draws, region):
+    spectra = draw_spectra(FixedDraws(draws), len(draws[0]), len(draws), seed=0)
+    want = sum(int(np.count_nonzero(region.member_mask(d))) for d in draws)
+    assert spectra.region_count(region) == want
+
+
+@settings(deadline=None)
+@given(draws=draw_sets())
+def test_store_keeps_nonzero_values_in_draw_order(draws):
+    spectra = draw_spectra(FixedDraws(draws), len(draws[0]), len(draws), seed=0)
+    for i, d in enumerate(draws):
+        kept = spectra.values[spectra.offsets[i] : spectra.offsets[i + 1]]
+        assert kept.tobytes() == d[d != 0].tobytes()
+        zeros = np.zeros(len(d) - len(kept))
+        padded = spectra.sample(i).eigenvalues
+        assert padded.tobytes() == np.concatenate([kept, zeros]).tobytes()
+
+
+@settings(deadline=None)
+@given(draws=draw_sets(), seed=st.integers(0, 2**70))
+def test_npz_round_trip_is_bitwise(tmp_path_factory, draws, seed):
+    spectra = draw_spectra(FixedDraws(draws), 7, len(draws), seed)
+    path = tmp_path_factory.mktemp("store") / "s.npz"
+    spectra.save(path)
+    back = Spectra.load(path)
+    assert (back.n, back.m, back.seed) == (7, len(draws), seed)
+    assert back.dim == spectra.dim
+    assert back.values.dtype == np.complex128 and back.offsets.dtype == np.int64
+    assert back.values.tobytes() == spectra.values.tobytes()
+    assert back.offsets.tobytes() == spectra.offsets.tobytes()
+
+
+@settings(deadline=None)
+@given(eigs=st.lists(eigenvalue, max_size=8), region=regions)
+def test_member_mask_agrees_with_region_contains(eigs, region):
+    mask = region.member_mask(np.array(eigs, dtype=complex))
+    assert mask.tolist() == [region_contains(region, z) for z in eigs]
+
+
+def test_store_saves_identical_bytes(tmp_path):
+    model = demo_model()
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    draw_spectra(model, 100, 300, seed=4).save(a)
+    draw_spectra(model, 100, 300, seed=4).save(b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_spectra_rejects_malformed_stores():
+    with pytest.raises(ValueError):
+        Spectra(5, 2, 0, 5, np.array([1.0, 2.0]), np.array([0, 1]))  # m + 1 offsets
+    with pytest.raises(ValueError):
+        Spectra(5, 1, 0, 5, np.array([1.0, 0.0]), np.array([0, 2]))  # stored zero
+    with pytest.raises(ValueError):
+        Spectra(1, 1, 0, 1, np.array([1.0, 2.0]), np.array([0, 2]))  # above dim
+
+
+def _reference_trace_sums(model, n, k_max, m, seed):
+    # the per-draw loop the store replaced
+    ks = np.arange(1, k_max + 1)
+    total = np.zeros(k_max)
+    for i in range(m):
+        eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
+        nz = eigs[eigs != 0]
+        if len(nz):
+            total += np.real(np.sum(nz[None, :] ** ks[:, None], axis=1))
+    return total / m
+
+
+def _reference_region_expectations(model, n, m, seed, regions):
+    counts = np.zeros(len(regions))
+    for i in range(m):
+        s = model.sample(n, sample_seed(seed, n, i))
+        for j, region in enumerate(regions):
+            counts[j] += int(np.count_nonzero(region.member_mask(s.eigenvalues)))
+    return [(float(e), float(s.n - e)) for e in counts / m]
+
+
+def test_store_reductions_equal_per_draw_loops():
+    model = demo_model()
+    n, m, seed = 100, 1500, 21
+    spectra = draw_spectra(model, n, m, seed)
+    stored = StoredModel(model, {n: spectra})
+    # fewer than _CHUNK draws, so the chunked sum is the plain sequential one
+    means = mc_expected_trace(stored, n, 12, m, seed).means.tobytes()
+    assert means == _reference_trace_sums(model, n, 12, m, seed).tobytes()
+    assert means == mc_expected_trace(model, n, 12, m, seed).means.tobytes()
+    regs = [
+        Region(1.5, (2.0,), 0.1),
+        Region(None, (2.0,), n**-0.3),
+        Region(0.0),
+        Region(None, (0.0,), 0.0),
+    ]
+    want = _reference_region_expectations(model, n, m, seed, regs)
+    assert region_expectations(stored, n, m, seed, regs) == want
+    assert region_expectations(model, n, m, seed, regs) == want
+
+
+def test_stored_model_rejects_other_draws():
+    model = demo_model()
+    stored = StoredModel(model, {100: draw_spectra(model, 100, 50, seed=1)})
+    assert stored.lambda0 == model.lambda0 and stored.kind == "planted"
+    with pytest.raises(ValueError, match="m=50"):
+        stored.spectra(100, 60, 1)
+    with pytest.raises(ValueError, match="seed=1"):
+        stored.spectra(100, 50, 2)
+
+
+def test_verify_sidestep_draws_each_sample_once(monkeypatch):
+    calls = []
+    original = PlantedModel.sample
+
+    def counted(self, n, seed):
+        calls.append(n)
+        return original(self, n, seed)
+
+    monkeypatch.setattr(PlantedModel, "sample", counted)
+    model = demo_model()
+    params = sidestep_params(1.0, 4.0, 1, 0.5)
+    report = verify_sidestep(model, 1, params, model.n_grid, 4000, seed=7)
+    assert len(report.detected) == 1  # so the window counts ran too
+    assert len(calls) == 4000 * len(model.n_grid)
