@@ -5,7 +5,8 @@ schema field "sidestep-config/1" selects the model, dimension grid, sample
 counts, and pipeline parameters; unknown fields are rejected.  Outputs are
 plot-ready CSV files plus short text summaries; identical config and seed
 produce byte-identical files.  ``run`` draws every sample once and keeps
-the spectra in ``spectra_n{n}.npz``; analyze and certify read that store.
+the spectra in ``spectra_n{n}.npz``; analyze and certify read only that
+store, and reduce their trace tables from it as ``run`` does.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
 5 certificate failure.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import zipfile
 from collections.abc import Mapping
@@ -283,12 +283,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _trace_path(out: Path, n: int) -> Path:
-    return out / f"trace_n{n}.csv"
-
-
 def _spectra_path(out: Path, n: int) -> Path:
     return out / f"spectra_n{n}.npz"
+
+
+def _trace_table(exp: Experiment, store: Mapping[int, Spectra], n: int) -> TraceTable:
+    """The trace table of dimension n, reduced from the draws in the store."""
+    model = StoredModel(exp.model, store)
+    return mc_expected_trace(model, n, exp.k_max, exp.m, exp.seed)
 
 
 def cmd_run(exp: Experiment, out: Path) -> int:
@@ -300,17 +302,16 @@ def cmd_run(exp: Experiment, out: Path) -> int:
         spectra = draw_spectra(
             exp.model, n, exp.m, exp.seed, draws.append if lift else None
         )
-        stored = StoredModel(exp.model, {n: spectra})
-        table = mc_expected_trace(stored, n, exp.k_max, exp.m, exp.seed)
+        table = _trace_table(exp, {n: spectra}, n)
         _write_csv(
-            _trace_path(out, n),
+            out / f"trace_n{n}.csv",
             ["n", "k", "mean", "stderr"],
             [
                 (n, int(k), m, s)
                 for k, m, s in zip(table.ks, table.means, table.stderrs)
             ],
         )
-        # cross-k covariance of the means, needed for detection significance
+        # plot output: analyze and certify reduce the store again instead
         cov_rows = [
             (int(table.ks[i]), int(table.ks[j]), table.covariance[i, j])
             for i in range(len(table.ks))
@@ -329,38 +330,6 @@ def cmd_run(exp: Experiment, out: Path) -> int:
     )
     print(f"run: wrote trace tables for {len(exp.n_grid)} dimensions to {out}")
     return EXIT_OK
-
-
-def _load_tables(exp: Experiment, out: Path) -> list[TraceTable]:
-    tables = []
-    for n in exp.n_grid:
-        path = _trace_path(out, n)
-        if not path.exists():
-            raise MissingInputError(f"missing run output {path}; run 'run' first")
-        ks, means, ses = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                _, k, mean, se = line.strip().split(",")
-                ks.append(int(k))
-                means.append(float(mean))
-                ses.append(float(se))
-        cov = None
-        cov_path = out / f"trace_cov_n{n}.csv"
-        if cov_path.exists():
-            cov = np.zeros((len(ks), len(ks)))
-            with open(cov_path, "r", encoding="utf-8") as fh:
-                next(fh)
-                for line in fh:
-                    ki, kj, value = line.strip().split(",")
-                    i = int(ki) - ks[0]
-                    j = int(kj) - ks[0]
-                    cov[i, j] = float(value)
-                    cov[j, i] = float(value)
-        tables.append(
-            TraceTable(n, np.array(ks), np.array(means), np.array(ses), exp.m, cov)
-        )
-    return tables
 
 
 def _load_spectra(exp: Experiment, out: Path, n: int) -> Spectra:
@@ -404,8 +373,9 @@ class _SpectraFiles(Mapping):
 
 
 def cmd_analyze(exp: Experiment, out: Path) -> int:
-    tables = _load_tables(exp, out)
-    model = StoredModel(exp.model, _SpectraFiles(exp, out))
+    store = _SpectraFiles(exp, out)
+    tables = [_trace_table(exp, store, n) for n in exp.n_grid]
+    model = StoredModel(exp.model, store)
     est = fit_expansion(tables, exp.fit_r)
     _write_csv(
         out / "expansion.csv",
@@ -462,8 +432,8 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
 def cmd_certify(exp: Experiment, out: Path) -> int:
     if exp.certify is None:
         raise ConfigError("certify section required for the certify command", "certify")
-    tables = _load_tables(exp, out)
     store = _SpectraFiles(exp, out)
+    tables = [_trace_table(exp, store, n) for n in exp.n_grid]
     cert_cfg = exp.certify
     lam0 = exp.model.lambda0
     d = cert_cfg["D"]
@@ -582,13 +552,6 @@ def cmd_report(exp: Experiment, out: Path) -> int:
     return EXIT_OK
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SIDESTEP_THREADS")
-    return int(env) if env else 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sidestep",
@@ -598,21 +561,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="experiment config path")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (reserved; execution is currently serial)",
-    )
     args = parser.parse_args(argv)
 
     try:
         exp = load_experiment(args.config)
         if args.seed is not None:
             exp.seed = args.seed
-        threads = _threads_from(args)
-        if threads < 1:
-            raise ConfigError("threads must be >= 1", "--threads")
         out = Path(args.out) if args.out else Path(exp.out_dir)
         handler = {
             "run": cmd_run,

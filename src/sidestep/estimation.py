@@ -31,6 +31,8 @@ NUM_EPS = 1e-13          # relative float-noise floor of the expansion fit
 # Detection windows start here to damp transient finite-support parts.
 DETECT_K_MIN = 4
 
+# Draws per reduction block: bounds the temporaries, and fixes the order in
+# which the per-draw power sums are added, hence the bits of the means.
 _CHUNK = 2048
 
 
@@ -41,7 +43,7 @@ class TraceTable:
     ``covariance`` holds the covariance matrix of the mean vector across k
     (sample covariance / m); the trace noise at different k comes from the
     same draws and is strongly correlated, which downstream significance
-    tests need.  It is None for tables loaded without it, in which case a
+    tests need.  It is None for tables built without it, in which case a
     fully coherent model stderr(k) * stderr(k') is assumed.
     """
 
@@ -72,40 +74,47 @@ class TraceTable:
         return np.outer(self.stderrs, self.stderrs)
 
 
+def _draw_power_sums(spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
+    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, len(ks)).
+
+    One scatter-add over the block's stored values; a draw that keeps no
+    values gets a zero row.
+    """
+    offsets = spectra.offsets[lo : hi + 1]
+    owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
+    sums = np.zeros((hi - lo, len(ks)), dtype=complex)
+    np.add.at(sums, owner, spectra.values[offsets[0] : offsets[-1], None] ** ks)
+    return sums.real
+
+
 def mc_expected_trace(model, n: int, k_max: int, m: int, seed: int) -> TraceTable:
     """Monte Carlo estimate of the mean power-sum trace for k = 1..k_max.
 
     Reads the draws from ``model.spectra(n, m, seed)`` and reduces them in
-    fixed chunks in draw order, so the result is deterministic in (model,
-    n, k_max, m, seed).
+    blocks of _CHUNK draws in draw order, so the result is deterministic in
+    (model, n, k_max, m, seed).  A second pass over the blocks sums the
+    outer products of the deviations from the mean, so a column that is
+    the same in every draw gets a covariance at rounding level, never a
+    negative variance.  No BLAS call is made, so the result does not
+    depend on the BLAS thread count either.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
     spectra = model.spectra(n, m, seed)
-    values, offsets = spectra.values, spectra.offsets.tolist()
     ks = np.arange(1, k_max + 1)
+    blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     total = np.zeros(k_max)
-    total_outer = np.zeros((k_max, k_max))
-    done = 0
-    while done < m:
-        count = min(_CHUNK, m - done)
-        chunk = np.zeros(k_max)
-        chunk_outer = np.zeros((k_max, k_max))
-        for i in range(done, done + count):
-            nz = values[offsets[i] : offsets[i + 1]]
-            if len(nz):
-                t = np.real(np.sum(nz[None, :] ** ks[:, None], axis=1))
-                chunk += t
-                chunk_outer += np.outer(t, t)
-        total += chunk
-        total_outer += chunk_outer
-        done += count
+    for lo, hi in blocks:
+        total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
     means = total / m
-    cov = (total_outer - m * np.outer(means, means)) / (m - 1) / m
-    var = np.maximum(np.diag(cov), 0.0)
-    stderrs = np.sqrt(var)
+    scatter = np.zeros((k_max, k_max))
+    for lo, hi in blocks:
+        d = _draw_power_sums(spectra, lo, hi, ks) - means
+        scatter += np.einsum("ik,il->kl", d, d)
+    cov = scatter / (m - 1) / m
+    stderrs = np.sqrt(np.diag(cov))
     return TraceTable(n, ks, means, stderrs, m, cov)
 
 
@@ -140,11 +149,6 @@ class ExpansionEstimate:
         if self.level_covs is None:
             return None
         return self.level_covs[i]
-
-    def level_stderr(self, i: int) -> np.ndarray:
-        if self.level_covs is None:
-            return np.zeros(len(self.ks))
-        return np.sqrt(np.maximum(np.diag(self.level_covs[i]), 0.0))
 
     def restrict(self, k_min: int) -> "ExpansionEstimate":
         mask = self.ks >= k_min

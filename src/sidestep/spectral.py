@@ -45,9 +45,6 @@ class Region:
             raise ValueError("radii must be nonnegative")
         object.__setattr__(self, "points", tuple(float(p) for p in self.points))
 
-    def contains(self, z: complex) -> bool:
-        return region_contains(self, z)
-
     def member_mask(self, eigs: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an eigenvalue array."""
         if self.center_radius is None:

@@ -21,7 +21,7 @@ through the estimation pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log
 from typing import Optional, Sequence
 
@@ -35,6 +35,8 @@ from .estimation import (
     TraceTable,
     detect_levels,
     estimate_C_ell,
+    fit_expansion,
+    mc_expected_trace,
     region_expectations,
 )
 from .shiftops import ShiftPolynomial, annihilator, sp_apply_seq
@@ -166,17 +168,7 @@ def sidestep_params(
     inner = exceptional_params(lambda0, lambda1, et, alpha_tilde, d, n_bases)
     r1 = max(r_tilde, inner.r0)
     theta1 = inner.theta0
-    d_tilde = 2 * ceil((alpha_tilde + 1.0) / (2.0 * theta1))
-
-    def ineq_slack(deg: int) -> float:
-        lhs = kappa0 * log(lambda0 + 2 * et) - j - 1.0
-        rhs = kappa0 * log(lambda1) + 1.0 - theta1 * deg
-        return lhs - rhs
-
-    # the ceiling can land exactly on the boundary; nudge past roundoff
-    while ineq_slack(d_tilde) < 0:
-        d_tilde += 2
-    return SidestepParams(
+    params = SidestepParams(
         lambda0,
         lambda1,
         j,
@@ -187,9 +179,13 @@ def sidestep_params(
         r_tilde,
         r1,
         theta1,
-        d_tilde,
+        2 * ceil((alpha_tilde + 1.0) / (2.0 * theta1)),
         inner,
     )
+    # the ceiling can land exactly on the boundary; nudge past roundoff
+    while params.widetilde_d_inequality(params.d_tilde) < 0:
+        params = replace(params, d_tilde=params.d_tilde + 2)
+    return params
 
 
 @dataclass(frozen=True)
@@ -534,8 +530,6 @@ def verify_sidestep(
     isolation; whether theta <= theta1 is recorded in the context rather
     than enforced.
     """
-    from .estimation import fit_expansion, mc_expected_trace
-
     n_grid = sorted(int(n) for n in n_grid)
     # one set of draws per n feeds the tables, the eout rows and the counts
     model = StoredModel(model, {n: model.spectra(n, m, seed) for n in n_grid})

@@ -8,8 +8,12 @@ target value is not itself the result of cancellation.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from math import ceil, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +345,28 @@ def test_criterion_7_determinism(tmp_path):
         f"{len(names1)} output files byte-identical across reruns"
         + (f"; differing: {diff}" if diff else ""),
     )
+
+
+def test_planted_outputs_ignore_blas_threads(tmp_path):
+    """The criterion 7 pipeline writes the same bytes with 1 and 2 BLAS
+    threads: planted outputs depend on the config and seed only."""
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(DEMO_CONFIG))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads{threads}"
+        for command in ("run", "analyze", "certify"):
+            args = [sys.executable, "-m", "sidestep.cli", command,
+                    "--config", str(cfg_path), "--out", str(out)]
+            assert subprocess.run(args, env=env, capture_output=True).returncode == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 LIFT_CONFIG = {

@@ -209,14 +209,6 @@ def test_shipped_config_full_pipeline(tmp_path, name):
         assert code == 0, f"{name}: {command} exited {code}"
 
 
-def test_env_var_threads(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("SIDESTEP_THREADS", "0")
-    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
-    monkeypatch.setenv("SIDESTEP_THREADS", "3")
-    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o2") == 0
-
-
 def test_analyze_no_plants_reports_decay_regime(tmp_path):
     cfg = write_config(tmp_path, overrides={"model.plants": []})
     out = tmp_path / "out"
@@ -291,12 +283,6 @@ def test_lift_run_writes_spectra(tmp_path):
         assert len(lines) == 1 + 2 * 4 * (n - 1)  # m samples, v(n-1) rows each
 
 
-def test_threads_flag_validated(tmp_path):
-    cfg = write_config(tmp_path)
-    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o", "--threads", 0) == 2
-    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o2", "--threads", 2) == 0
-
-
 def count_draws(monkeypatch, model_cls):
     calls = []
     original = model_cls.sample
@@ -344,6 +330,25 @@ def test_lift_run_draws_each_sample_once(tmp_path, monkeypatch):
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 0
     assert len(calls) == 3 * 2
 
+
+
+def test_trace_csvs_are_output_only(tmp_path):
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+    for out in (kept, dropped):
+        assert run_cli("run", "--config", cfg, "--out", out) == 0
+    tables = [*dropped.glob("trace_n*.csv"), *dropped.glob("trace_cov_n*.csv")]
+    assert len(tables) == 2 * 3
+    for path in tables:
+        path.unlink()
+    before = {p.name for p in dropped.iterdir()}
+    for out in (kept, dropped):
+        assert run_cli("analyze", "--config", cfg, "--out", out) == 0
+        assert run_cli("certify", "--config", cfg, "--out", out) == 0
+    written = sorted({p.name for p in dropped.iterdir()} - before)
+    assert "analysis.txt" in written and "certificates.csv" in written
+    for name in written:
+        assert (dropped / name).read_bytes() == (kept / name).read_bytes(), name
 
 
 def test_analyze_without_spectrum_store_exits_4(tmp_path, capsys):

@@ -24,16 +24,23 @@ def demo_model(n_grid=(100, 200, 400, 800)):
     return PlantedModel(cfg)
 
 
-def deterministic_model():
-    cfg = PlantedConfig(1.0, 4.0, (50, 100), (0.5,))
-    return PlantedModel(cfg)
+def check_deterministic_trace(fixed, n, k_max, m):
+    # every draw is the same spectrum, so the stderr is rounding noise
+    model = PlantedModel(PlantedConfig(1.0, 4.0, (n,), fixed))
+    t = mc_expected_trace(model, n, k_max, m, seed=0)
+    want = [planted_exact_trace(model.cfg, n, k) for k in range(1, k_max + 1)]
+    assert np.allclose(t.means, want, rtol=1e-12, atol=1e-12)
+    assert np.all(t.stderrs <= 1e-12 * np.abs(t.means))
+    assert np.all(np.diag(t.covariance) >= 0)
 
 
 def test_mc_deterministic_model_has_zero_stderr():
-    model = deterministic_model()
-    t = mc_expected_trace(model, 50, 8, 50, seed=0)
-    assert np.allclose(t.means, [0.5**k for k in range(1, 9)])
-    assert np.allclose(t.stderrs, 0.0)
+    check_deterministic_trace((0.5,), 50, 8, 50)
+
+
+def test_mc_deterministic_covariance_does_not_cancel():
+    # more draws than one reduction block, and odd-k sums that cancel
+    check_deterministic_trace(tuple(np.linspace(-0.9, 0.9, 50)), 100, 20, 5000)
 
 
 def test_mc_matches_exact_oracle_within_stderr():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidestep import (
@@ -57,9 +57,9 @@ regions = st.builds(
 
 
 @st.composite
-def draw_sets(draw):
+def draw_sets(draw, min_m=1):
     dim = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(min_m, 5))
     rows = draw(
         st.lists(
             st.lists(eigenvalue, min_size=dim, max_size=dim), min_size=m, max_size=m
@@ -126,16 +126,39 @@ def test_spectra_rejects_malformed_stores():
         Spectra(1, 1, 0, 1, np.array([1.0, 2.0]), np.array([0, 2]))  # above dim
 
 
+def _power_sums(eigs, k_max):
+    nz = eigs[eigs != 0]
+    return np.real(np.sum(nz[None, :] ** np.arange(1, k_max + 1)[:, None], axis=1))
+
+
 def _reference_trace_sums(model, n, k_max, m, seed):
     # the per-draw loop the store replaced
-    ks = np.arange(1, k_max + 1)
     total = np.zeros(k_max)
     for i in range(m):
         eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
-        nz = eigs[eigs != 0]
-        if len(nz):
-            total += np.real(np.sum(nz[None, :] ** ks[:, None], axis=1))
+        total += _power_sums(eigs, k_max)
     return total / m
+
+
+ZERO, SOME = [0j, 0j], [2.0 + 0j, -1j]
+
+
+@settings(deadline=None)
+@given(draws=draw_sets(min_m=2), k_max=st.integers(1, 8))
+@example(draws=[np.array(ZERO)] * 3, k_max=4)  # every draw all zero
+@example(draws=[np.array(SOME), np.array(ZERO)], k_max=4)  # trailing zero draw
+@example(  # exact zeros mid-array, and an all-zero draw between others
+    draws=[np.array([0, 1.5, 0]), np.zeros(3), np.array([-2, 0, 3j])], k_max=6
+)
+def test_trace_reduction_matches_per_draw_reference(draws, k_max):
+    n, m = 100, len(draws)  # n only bounds k_max through the trace horizon
+    spectra = draw_spectra(FixedDraws(draws), n, m, seed=0)
+    table = mc_expected_trace(StoredModel(None, {n: spectra}), n, k_max, m, 0)
+    sums = np.array([_power_sums(d, k_max) for d in draws])
+    cov = np.cov(sums.T).reshape(k_max, k_max) / m
+    for got, want in ((table.means, sums.mean(axis=0)), (table.covariance, cov)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+    assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
 def _reference_region_expectations(model, n, m, seed, regions):
