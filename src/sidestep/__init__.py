@@ -32,10 +32,8 @@ from .spectral import (
     SpectrumSample,
     ein_eout,
     hashimoto_from_adjacency,
-    real_trace_in_region,
     region_contains,
     sym_eigs,
-    trace_split,
 )
 from .models import (
     LiftConfig,
@@ -43,7 +41,6 @@ from .models import (
     Plant,
     PlantedConfig,
     PlantedModel,
-    StoredModel,
     ValidationReport,
     complete_graph,
     draw_spectra,

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .estimation import (
     DETECT_K_MIN,
-    TraceTable,
     detect_levels,
     estimate_C_ell,
     fit_expansion,
@@ -45,7 +44,6 @@ from .models import (
     Plant,
     PlantedConfig,
     PlantedModel,
-    StoredModel,
     draw_spectra,
     trace_horizon,
 )
@@ -89,6 +87,24 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _float(value, field: str) -> float:
+    """A JSON number; strings, booleans and null are config errors."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        field,
+        f"must be a number, got {value!r}",
+    )
+    return float(value)
+
+
+def _section(raw: dict, key: str, allowed: set[str]) -> dict:
+    """An optional object field, empty when absent."""
+    obj = raw.get(key, {})
+    _require(isinstance(obj, dict), key, "must be an object")
+    _check_keys(obj, allowed, key)
+    return obj
+
+
 def _plants(raw, path: str) -> tuple[Plant, ...]:
     out = []
     for i, p in enumerate(raw):
@@ -97,8 +113,9 @@ def _plants(raw, path: str) -> tuple[Plant, ...]:
         _check_keys(p, {"ell", "amplitude", "level"}, here)
         for key in ("ell", "amplitude", "level"):
             _require(key in p, f"{here}.{key}", "required field missing")
-        level = _int(p["level"], f"{here}.level")
-        out.append(Plant(float(p["ell"]), float(p["amplitude"]), level))
+        ell = _float(p["ell"], f"{here}.ell")
+        amplitude = _float(p["amplitude"], f"{here}.amplitude")
+        out.append(Plant(ell, amplitude, _int(p["level"], f"{here}.level")))
     return tuple(out)
 
 
@@ -160,10 +177,13 @@ class Experiment:
                 for key in ("lambda0", "lambda1"):
                     _require(key in model, f"model.{key}", "required field missing")
                 cfg = PlantedConfig(
-                    float(model["lambda0"]),
-                    float(model["lambda1"]),
+                    _float(model["lambda0"], "model.lambda0"),
+                    _float(model["lambda1"], "model.lambda1"),
                     self.n_grid,
-                    tuple(float(x) for x in model.get("fixed_part", [])),
+                    tuple(
+                        _float(x, f"model.fixed_part[{i}]")
+                        for i, x in enumerate(model.get("fixed_part", []))
+                    ),
                     _plants(model.get("plants", []), "model.plants"),
                 )
                 self.model = PlantedModel(cfg)
@@ -178,12 +198,18 @@ class Experiment:
                     "model.base_adjacency",
                     "required field missing",
                 )
+                hashimoto = model.get("hashimoto", True)
+                _require(
+                    isinstance(hashimoto, bool),
+                    "model.hashimoto",
+                    f"must be true or false, got {hashimoto!r}",
+                )
                 cfg = LiftConfig(
                     np.array(model["base_adjacency"], dtype=int),
                     self.n_grid,
-                    bool(model.get("hashimoto", True)),
-                    float(model.get("lambda0", 0.0)),
-                    float(model.get("lambda1", 0.0)),
+                    hashimoto,
+                    _float(model.get("lambda0", 0.0), "model.lambda0"),
+                    _float(model.get("lambda1", 0.0), "model.lambda1"),
                 )
                 self.model = LiftModel(cfg)
         except ConfigError:
@@ -199,8 +225,7 @@ class Experiment:
             f"must lie in 1..K(min n)={horizon}",
         )
 
-        fit = raw.get("fit", {})
-        _check_keys(fit, {"r"}, "fit")
+        fit = _section(raw, "fit", {"r"})
         # the default order fits the grid, so analyze runs on any grid of
         # at least two points
         default_r = max(1, min(2, len(self.n_grid) - 1))
@@ -213,8 +238,7 @@ class Experiment:
                 "needs at least r+1 grid points",
             )
 
-        detect = raw.get("detect", {})
-        _check_keys(detect, {"max_bases"}, "detect")
+        detect = _section(raw, "detect", {"max_bases"})
         # the default fits the detection window checked below
         default_bases = max(1, min(4, (self.k_max - DETECT_K_MIN - 1) // 2))
         self.max_bases = _int(
@@ -229,27 +253,29 @@ class Experiment:
                 f"detection window {window} < 2*max_bases+2",
             )
 
-        est = raw.get("estimate", {})
-        _check_keys(est, {"theta"}, "estimate")
-        self.theta = float(est.get("theta", 0.3))
+        est = _section(raw, "estimate", {"theta"})
+        self.theta = _float(est.get("theta", 0.3), "estimate.theta")
         _require(self.theta > 0, "estimate.theta", "must be positive")
 
-        cert = raw.get("certify", None)
         self.certify = None
-        if cert is not None:
-            _check_keys(cert, {"D", "L", "epsilon", "alpha", "theta"}, "certify")
+        if raw.get("certify") is not None:
+            cert = _section(raw, "certify", {"D", "L", "epsilon", "alpha", "theta"})
             d = _int(cert.get("D", 2), "certify.D")
             _require(d >= 0 and d % 2 == 0, "certify.D", "must be even and >= 0")
-            eps = float(cert.get("epsilon", 0.5))
+            eps = _float(cert.get("epsilon", 0.5), "certify.epsilon")
             _require(eps > 0, "certify.epsilon", "must be positive")
-            alpha = float(cert.get("alpha", 1.0))
+            alpha = _float(cert.get("alpha", 1.0), "certify.alpha")
             _require(alpha > 0, "certify.alpha", "must be positive")
+            bases = cert.get("L", [])
+            _require(isinstance(bases, list), "certify.L", "must be a list")
             self.certify = {
                 "D": d,
-                "L": tuple(float(x) for x in cert.get("L", [])),
+                "L": tuple(_float(x, f"certify.L[{i}]") for i, x in enumerate(bases)),
                 "epsilon": eps,
                 "alpha": alpha,
-                "theta": float(cert["theta"]) if "theta" in cert else None,
+                "theta": (
+                    _float(cert["theta"], "certify.theta") if "theta" in cert else None
+                ),
             }
 
         self.out_dir = raw.get("out_dir", "out")
@@ -287,12 +313,6 @@ def _spectra_path(out: Path, n: int) -> Path:
     return out / f"spectra_n{n}.npz"
 
 
-def _trace_table(exp: Experiment, store: Mapping[int, Spectra], n: int) -> TraceTable:
-    """The trace table of dimension n, reduced from the draws in the store."""
-    model = StoredModel(exp.model, store)
-    return mc_expected_trace(model, n, exp.k_max, exp.m, exp.seed)
-
-
 def cmd_run(exp: Experiment, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
@@ -302,7 +322,7 @@ def cmd_run(exp: Experiment, out: Path) -> int:
         spectra = draw_spectra(
             exp.model, n, exp.m, exp.seed, draws.append if lift else None
         )
-        table = _trace_table(exp, {n: spectra}, n)
+        table = mc_expected_trace(spectra, exp.k_max)
         _write_csv(
             out / f"trace_n{n}.csv",
             ["n", "k", "mean", "stderr"],
@@ -374,8 +394,7 @@ class _SpectraFiles(Mapping):
 
 def cmd_analyze(exp: Experiment, out: Path) -> int:
     store = _SpectraFiles(exp, out)
-    tables = [_trace_table(exp, store, n) for n in exp.n_grid]
-    model = StoredModel(exp.model, store)
+    tables = [mc_expected_trace(store[n], exp.k_max) for n in exp.n_grid]
     est = fit_expansion(tables, exp.fit_r)
     _write_csv(
         out / "expansion.csv",
@@ -402,9 +421,7 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
         )
     else:
         for det in levels[j]:
-            ce = estimate_C_ell(
-                model, det.ell, j, exp.theta, exp.n_grid, exp.m, exp.seed
-            )
+            ce = estimate_C_ell(store, det.ell, j, exp.theta)
             for n, val in ce.per_n:
                 c_rows.append((det.ell, n, val))
             c_rows.append((det.ell, 0, ce.extrapolated))
@@ -433,7 +450,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     if exp.certify is None:
         raise ConfigError("certify section required for the certify command", "certify")
     store = _SpectraFiles(exp, out)
-    tables = [_trace_table(exp, store, n) for n in exp.n_grid]
+    tables = [mc_expected_trace(store[n], exp.k_max) for n in exp.n_grid]
     cert_cfg = exp.certify
     lam0 = exp.model.lambda0
     d = cert_cfg["D"]
@@ -464,10 +481,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
             failures.append(("markov", n, cert.slack))
 
     # Exceptional-eigenvalue decay across the grid.
-    stored = StoredModel(exp.model, store)
-    report = verify_exceptional_bound(
-        stored, params, bases, theta, exp.n_grid, exp.m, exp.seed
-    )
+    report = verify_exceptional_bound(exp.model, store, params, bases, theta)
     for row in report.rows:
         rows.append(
             (

@@ -37,10 +37,6 @@ class DimensionMismatchError(SidestepError):
     """Spectrum samples of different dimensions were mixed."""
 
 
-class UnpairedNonrealError(SidestepError):
-    """Nonreal eigenvalues failed the conjugate-pairing check."""
-
-
 class SpectralRangeError(SidestepError):
     """An eigenvalue lies outside the admissible range for a map."""
 

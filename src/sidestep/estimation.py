@@ -1,6 +1,6 @@
 """Monte Carlo trace estimation, 1/n expansion fitting, and base detection.
 
-The pipeline: sample spectra once per dimension (``model.spectra``),
+The pipeline: sample spectra once per dimension (``draw_spectra``),
 tabulate mean power sums per k with standard errors, fit the coefficients
 of the expansion in powers of 1/n across the dimension grid by weighted
 least squares, locate real exponential bases in a fitted coefficient
@@ -11,13 +11,13 @@ counting eigenvalues in shrinking windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import IllConditionedError, WindowTooShortError
 from .models import trace_horizon
-from .spectral import Region
+from .spectral import Region, Spectra
 
 # Matrix-pencil settings.
 RANK_TOL = 1e-8          # singular values kept relative to the largest
@@ -43,8 +43,7 @@ class TraceTable:
     ``covariance`` holds the covariance matrix of the mean vector across k
     (sample covariance / m); the trace noise at different k comes from the
     same draws and is strongly correlated, which downstream significance
-    tests need.  It is None for tables built without it, in which case a
-    fully coherent model stderr(k) * stderr(k') is assumed.
+    tests need.
     """
 
     n: int
@@ -52,29 +51,20 @@ class TraceTable:
     means: np.ndarray
     stderrs: np.ndarray
     m: int
-    covariance: np.ndarray = None
+    covariance: np.ndarray
 
     def __post_init__(self):
-        for name in ("ks", "means", "stderrs"):
+        for name in ("ks", "means", "stderrs", "covariance"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.covariance is not None:
-            cov = np.asarray(self.covariance)
-            cov.setflags(write=False)
-            object.__setattr__(self, "covariance", cov)
         if np.any(self.stderrs < 0):
             raise ValueError("standard errors must be nonnegative")
         if len(self.ks) != len(self.means) or len(self.ks) != len(self.stderrs):
             raise ValueError("ks, means, stderrs must have equal length")
 
-    def covariance_model(self) -> np.ndarray:
-        if self.covariance is not None:
-            return np.asarray(self.covariance)
-        return np.outer(self.stderrs, self.stderrs)
 
-
-def _draw_power_sums(spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
+def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
     """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, len(ks)).
 
     One scatter-add over the block's stored values; a draw that keeps no
@@ -87,22 +77,21 @@ def _draw_power_sums(spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
     return sums.real
 
 
-def mc_expected_trace(model, n: int, k_max: int, m: int, seed: int) -> TraceTable:
+def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     """Monte Carlo estimate of the mean power-sum trace for k = 1..k_max.
 
-    Reads the draws from ``model.spectra(n, m, seed)`` and reduces them in
-    blocks of _CHUNK draws in draw order, so the result is deterministic in
-    (model, n, k_max, m, seed).  A second pass over the blocks sums the
-    outer products of the deviations from the mean, so a column that is
-    the same in every draw gets a covariance at rounding level, never a
-    negative variance.  No BLAS call is made, so the result does not
+    Reduces the stored draws in blocks of _CHUNK draws in draw order, so
+    the result is deterministic in (spectra, k_max).  A second pass over
+    the blocks sums the outer products of the deviations from the mean, so
+    a column that is the same in every draw gets a covariance at rounding
+    level, never a negative variance.  No BLAS call is made, so the result does not
     depend on the BLAS thread count either.
     """
+    n, m = spectra.n, spectra.m
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
-    spectra = model.spectra(n, m, seed)
     ks = np.arange(1, k_max + 1)
     blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     total = np.zeros(k_max)
@@ -122,7 +111,7 @@ def exact_trace_table(model, n: int, k_max: int) -> TraceTable:
     """Zero-noise table from a model's closed-form expected trace."""
     ks = np.arange(1, k_max + 1)
     means = np.array([model.exact_trace(n, int(k)) for k in ks])
-    return TraceTable(n, ks, means, np.zeros(k_max), m=0)
+    return TraceTable(n, ks, means, np.zeros(k_max), 0, np.zeros((k_max, k_max)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +208,7 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     covs = [np.zeros((len(ks), len(ks))) for _ in range(r)]
     if noisy:
         for t_idx, (table, off) in enumerate(zip(tables, offsets)):
-            block = table.covariance_model()[
+            block = table.covariance[
                 off : off + len(ks), off : off + len(ks)
             ]
             for i in range(r):
@@ -396,12 +385,11 @@ def find_smallest_j(
 
 
 def region_expectations(
-    model, n: int, m: int, seed: int, regions: Sequence[Region]
+    spectra: Spectra, regions: Sequence[Region]
 ) -> list[tuple[float, float]]:
-    """Empirical (ein, eout) for several regions over the m draws of
-    ``model.spectra(n, m, seed)``."""
-    spectra = model.spectra(n, m, seed)
-    eins = np.array([spectra.region_count(r) for r in regions], dtype=float) / m
+    """Empirical (ein, eout) for several regions over the stored draws."""
+    eins = np.array([spectra.region_count(r) for r in regions], dtype=float)
+    eins /= spectra.m
     return [(float(e), float(spectra.dim - e)) for e in eins]
 
 
@@ -418,27 +406,21 @@ class CEllEstimate:
 
 
 def estimate_C_ell(
-    model,
-    ell: float,
-    j: int,
-    theta: float,
-    n_grid: Sequence[int],
-    m: int,
-    seed: int,
+    stores: Mapping[int, Spectra], ell: float, j: int, theta: float
 ) -> CEllEstimate:
     """Estimate the outlier weight at ell from window counts.
 
-    Per n, counts eigenvalues inside the closed ball of radius n**-theta
-    about ell, scaled by n**j; the final value averages the two largest
-    dimensions (the correction term has unknown sign and order, so plain
-    averaging beats extrapolation here).
+    Per stored dimension n, counts eigenvalues inside the closed ball of
+    radius n**-theta about ell, scaled by n**j; the final value averages
+    the two largest dimensions (the correction term has unknown sign and
+    order, so plain averaging beats extrapolation here).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     rows = []
-    for n in sorted(n_grid):
+    for n in sorted(stores):
         region = Region(None, (float(ell),), float(n) ** (-theta))
-        (ein, _), = region_expectations(model, n, m, seed, [region])
+        (ein, _), = region_expectations(stores[n], [region])
         rows.append((int(n), float(ein * n**j)))
     tail = rows[-2:] if len(rows) >= 2 else rows
     extrapolated = float(np.mean([v for _, v in tail]))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -327,9 +327,6 @@ class _ModelFacade:
     def n_grid(self) -> tuple[int, ...]:
         return self.cfg.n_grid
 
-    def spectra(self, n: int, m: int, seed: int) -> Spectra:
-        return draw_spectra(self, n, m, seed)
-
 
 class PlantedModel(_ModelFacade):
     """Facade bundling a planted config with the sampler and oracle."""
@@ -350,27 +347,3 @@ class LiftModel(_ModelFacade):
 
     def sample(self, n: int, seed) -> SpectrumSample:
         return lift_sample(self.cfg, n, seed)
-
-
-class StoredModel:
-    """A model whose ``spectra`` are draws made earlier, looked up by n.
-
-    Every other attribute (``sample``, ``lambda0``, ``lambda1``, ``n_grid``,
-    ``kind``, ...) is the wrapped model's, so fresh draws stay possible.
-    """
-
-    def __init__(self, model, store: Mapping[int, Spectra]):
-        self.model = model
-        self.store = store
-
-    def spectra(self, n: int, m: int, seed: int) -> Spectra:
-        s = self.store[n]
-        if (s.n, s.m, s.seed) != (n, m, seed):
-            raise ValueError(
-                f"stored spectra hold (n={s.n}, m={s.m}, seed={s.seed}), "
-                f"asked for (n={n}, m={m}, seed={seed})"
-            )
-        return s
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)

@@ -1,4 +1,4 @@
-"""Region geometry, spectrum samples, trace splitting, and eigensolvers.
+"""Region geometry, spectrum samples and stores, and eigensolvers.
 
 Regions are unions of a closed disk about 0 and finitely many small closed
 disks about real points; membership uses closed balls throughout, so
@@ -13,15 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonSymmetricError,
-    SpectralRangeError,
-    UnpairedNonrealError,
-)
+from .errors import DimensionMismatchError, NonSymmetricError, SpectralRangeError
 
 # Absolute tolerance on imaginary parts when deciding whether an eigenvalue
-# is real / whether nonreal eigenvalues pair up.
+# is real.
 PAIR_TOL = 1e-9
 
 
@@ -183,62 +178,6 @@ def ein_eout(samples: Iterable[SpectrumSample], region: Region) -> tuple[float, 
     return fsum(ein_parts), fsum(eout_parts)
 
 
-def _real_mask(eigs: np.ndarray) -> np.ndarray:
-    return np.abs(eigs.imag) <= PAIR_TOL
-
-
-def _check_conjugate_pairing(nonreal: np.ndarray) -> None:
-    """Greedy conjugate matching of the nonreal eigenvalues."""
-    upper = sorted(
-        (z for z in nonreal if z.imag > 0), key=lambda z: (z.real, z.imag)
-    )
-    lower = sorted(
-        (z for z in nonreal if z.imag < 0), key=lambda z: (z.real, -z.imag)
-    )
-    if len(upper) != len(lower):
-        raise UnpairedNonrealError(
-            f"{len(upper)} upper-half vs {len(lower)} lower-half eigenvalues"
-        )
-    for u, v in zip(upper, lower):
-        if abs(u - np.conj(v)) > 1e-6 * max(1.0, abs(u)):
-            raise UnpairedNonrealError(f"no conjugate partner for {u}")
-
-
-def trace_split(sample: SpectrumSample, k: int) -> tuple[float, float]:
-    """Split the power sum sum(lambda**k) into real and nonreal parts.
-
-    The nonreal part is real because nonreal eigenvalues occur in conjugate
-    pairs; the residual imaginary part is checked against PAIR_TOL scaled by
-    the magnitude of the sum of |mu|**k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    eigs = sample.eigenvalues
-    mask = _real_mask(eigs)
-    real_part = float(np.sum(eigs.real[mask] ** k)) if mask.any() else 0.0
-    nonreal = eigs[~mask]
-    if len(nonreal) == 0:
-        return real_part, 0.0
-    _check_conjugate_pairing(nonreal)
-    powers = nonreal**k
-    total = complex(np.sum(powers))
-    scale = float(np.sum(np.abs(powers)))
-    if abs(total.imag) > PAIR_TOL * max(1.0, scale):
-        raise UnpairedNonrealError(
-            f"nonreal trace has imaginary residue {total.imag}"
-        )
-    return real_part, total.real
-
-
-def real_trace_in_region(sample: SpectrumSample, k: int, region: Region) -> float:
-    """Sum of lambda**k over the real eigenvalues lying inside the region."""
-    eigs = sample.eigenvalues
-    mask = _real_mask(eigs) & region.member_mask(eigs)
-    if not mask.any():
-        return 0.0
-    return float(np.sum(eigs.real[mask] ** k))
-
-
 def mean_real_trace(
     samples: Sequence[SpectrumSample], ks: Sequence[int]
 ) -> np.ndarray:
@@ -247,7 +186,7 @@ def mean_real_trace(
     acc = np.zeros(len(ks))
     for s in samples:
         eigs = s.eigenvalues
-        re = eigs.real[_real_mask(eigs)]
+        re = eigs.real[np.abs(eigs.imag) <= PAIR_TOL]
         re = re[re != 0]
         if len(re):
             acc += s.weight * np.sum(re[None, :] ** ks[:, None], axis=1)

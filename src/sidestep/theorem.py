@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import ceil, log
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .estimation import (
     region_expectations,
 )
 from .shiftops import ShiftPolynomial, annihilator, sp_apply_seq
-from .models import StoredModel, sample_seed
-from .spectral import Region, SpectrumSample, ein_eout, mean_real_trace
+from .models import draw_spectra, sample_seed
+from .spectral import Region, Spectra, SpectrumSample, ein_eout, mean_real_trace
 
 # Multiplicative headroom on the strict-inequality choice of kappa.
 KAPPA_MARGIN = 0.05
@@ -433,20 +433,20 @@ class BoundReport:
 
 def verify_exceptional_bound(
     model,
+    stores: Mapping[int, Spectra],
     params: ExceptionalParams,
     bases: Sequence[float],
     theta: float,
-    n_grid: Sequence[int],
-    m: int,
-    seed: int,
 ) -> BoundReport:
     """Empirical check of eout <= n**-alpha outside the union region.
 
-    The precondition theta <= theta0 is enforced with the reference
-    annihilator size for the supplied base count.  The check must hold on
-    the tail (second half) of the dimension grid; when it fails, the report
-    flags the locations of the offending eigenvalues, which point at any
-    base missing from the supplied set.
+    eout is counted over the stored draws of each dimension n.  The
+    precondition theta <= theta0 is enforced with the reference annihilator
+    size for the supplied base count.  The check must hold on the tail
+    (second half) of the dimension grid; when it fails at some n, up to 2000
+    of that n's draws are sampled again from ``model`` to flag the
+    locations of the offending eigenvalues, which point at any base missing
+    from the supplied set.
     """
     theta0 = params.theta0_for(D_REF, max(1, len(bases)))
     if theta > theta0 + 1e-12:
@@ -454,9 +454,10 @@ def verify_exceptional_bound(
     points = tuple(float(b) for b in bases)
     rows = []
     flagged: dict[float, int] = {}
-    for n in sorted(n_grid):
+    for n in sorted(stores):
+        spectra = stores[n]
         region = Region(params.lambda0 + params.epsilon, points, float(n) ** (-theta))
-        (ein, eout), = region_expectations(model, n, m, seed, [region])
+        (ein, eout), = region_expectations(spectra, [region])
         threshold = float(n) ** (-params.alpha)
         ok = eout <= threshold + 1e-12
         rows.append(
@@ -469,8 +470,8 @@ def verify_exceptional_bound(
             }
         )
         if not ok:
-            for i in range(min(m, 2000)):
-                eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
+            for i in range(min(spectra.m, 2000)):
+                eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
                 outside = eigs[~region.member_mask(eigs)]
                 for z in outside:
                     key = round(float(z.real), 2)
@@ -488,7 +489,6 @@ def verify_exceptional_bound(
             "epsilon": params.epsilon,
             "theta": theta,
             "bases": points,
-            "m": m,
         },
     )
 
@@ -514,7 +514,6 @@ def verify_sidestep(
     n_grid: Sequence[int],
     m: int,
     seed: int,
-    tables: Optional[Sequence[TraceTable]] = None,
     k_max: int = 20,
     theta: float = 0.3,
     max_bases: int = 4,
@@ -532,9 +531,8 @@ def verify_sidestep(
     """
     n_grid = sorted(int(n) for n in n_grid)
     # one set of draws per n feeds the tables, the eout rows and the counts
-    model = StoredModel(model, {n: model.spectra(n, m, seed) for n in n_grid})
-    if tables is None:
-        tables = [mc_expected_trace(model, n, k_max, m, seed) for n in n_grid]
+    stores = {n: draw_spectra(model, n, m, seed) for n in n_grid}
+    tables = [mc_expected_trace(stores[n], k_max) for n in n_grid]
     # one remainder level beyond j when the grid affords it
     r = j + 2 if len(n_grid) >= j + 3 else j + 1
     if len(n_grid) < r + 1:
@@ -550,7 +548,7 @@ def verify_sidestep(
         region = Region(
             model.lambda0 + params.epsilon, points, float(n) ** (-theta)
         )
-        (ein, eout), = region_expectations(model, n, m, seed, [region])
+        (ein, eout), = region_expectations(stores[n], [region])
         rows.append({"n": n, "eout": eout, "scaled_eout": eout * n**j})
         scaled.append(eout * n**j)
     slope = _trend_slope(n_grid, scaled)
@@ -558,7 +556,7 @@ def verify_sidestep(
     c_estimates = []
     amp_ok = True
     for det in detected:
-        ce = estimate_C_ell(model, det.ell, j, theta, n_grid, m, seed)
+        ce = estimate_C_ell(stores, det.ell, j, theta)
         c_estimates.append(ce)
         ref = max(abs(ce.extrapolated), abs(det.amplitude), 1e-12)
         if abs(ce.extrapolated - det.amplitude) > amplitude_match_tol * ref:

@@ -151,7 +151,8 @@ def test_criterion_2_planted_oracle_closure():
     m = 100_000
     cfg = ss.PlantedConfig(1.0, 4.0, n_grid, (0.5,), (ss.Plant(2.0, 5.0, 1),))
     model = ss.PlantedModel(cfg)
-    tables = [ss.mc_expected_trace(model, n, 20, m, SEED) for n in n_grid]
+    stores = {n: ss.draw_spectra(model, n, m, SEED) for n in n_grid}
+    tables = [ss.mc_expected_trace(stores[n], 20) for n in n_grid]
     est = ss.fit_expansion(tables, 2)
     j = ss.find_smallest_j(est, model.lambda0, model.lambda1)
     est4 = est.restrict(4)
@@ -164,10 +165,10 @@ def test_criterion_2_planted_oracle_closure():
         noise_cov=est4.level_covariance(1),
     )
     ell_ok = len(bases) == 1 and abs(bases[0].ell - 2.0) <= 0.01
-    ce = ss.estimate_C_ell(model, bases[0].ell, 1, 0.3, n_grid, m, SEED)
+    ce = ss.estimate_C_ell(stores, bases[0].ell, 1, 0.3)
     c_ok = abs(ce.extrapolated - 5.0) / 5.0 <= 0.10
     region = ss.Region(1.5, (bases[0].ell,), 1600.0 ** (-0.3))
-    (_, eout), = region_expectations(model, 1600, m, SEED, [region])
+    (_, eout), = region_expectations(stores[1600], [region])
     eout_ok = eout * 1600 <= 0.05
     elapsed = time.perf_counter() - t0
     report(

@@ -118,6 +118,20 @@ def test_bad_schema_version(tmp_path):
         ("certify.D", 2.0),
         ("model.plants", [{"ell": 2.0, "amplitude": 5.0, "level": "1"}]),
         ("n_grid", [0, 100, 400]),
+        ("estimate.theta", "x"),
+        ("certify.epsilon", "abc"),
+        ("certify.alpha", None),
+        ("certify.theta", "x"),
+        ("certify.L", 2.0),
+        ("certify.L", ["x"]),
+        ("fit", []),
+        ("detect", "max_bases"),
+        ("estimate", None),
+        ("model.lambda0", "1.0"),
+        ("model.lambda1", True),
+        ("model.fixed_part", [None]),
+        ("model.plants", [{"ell": "2.0", "amplitude": 5.0, "level": 1}]),
+        ("model.plants", [{"ell": 2.0, "amplitude": False, "level": 1}]),
     ],
 )
 def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
@@ -125,6 +139,25 @@ def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_lift_hashimoto_must_be_boolean(tmp_path, capsys):
+    model = {"kind": "lift", "base_adjacency": K4, "hashimoto": "no"}
+    cfg = write_config(tmp_path, overrides={"model": model, "n_grid": [3, 5]})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "config error: model.hashimoto" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_values_accepted_in_float_fields():
+    from sidestep.cli import Experiment
+
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["model"].update(lambda0=1, lambda1=4, fixed_part=[0])
+    raw["certify"].update(epsilon=1, L=[2], theta=1)
+    exp = Experiment(raw)
+    assert (exp.model.lambda0, exp.model.lambda1) == (1.0, 4.0)
+    assert exp.certify["L"] == (2.0,) and exp.certify["theta"] == 1.0
 
 
 def test_odd_certify_degree_exits_2(tmp_path):
@@ -414,3 +447,23 @@ def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert "(k=7, n_grid=(100, 200, 400), r=2)" in err
+
+
+def test_benchmark_output_check_passes_on_lift_run(tmp_path, monkeypatch):
+    # the benchmark's lift check imports names from the package; a deleted
+    # name shows here before the benchmark runs
+    import importlib.util
+    import sys
+
+    path = CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    raw = json.loads((CONFIG_DIR / "lift_demo.json").read_text())
+    raw["m"] = 2
+    cfg = tmp_path / "lift.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert workloads.check_lift_demo(out, raw)["run"] == []

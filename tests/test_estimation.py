@@ -9,6 +9,7 @@ from sidestep import (
     PlantedModel,
     TraceTable,
     detect_bases,
+    draw_spectra,
     estimate_C_ell,
     exact_trace_table,
     find_smallest_j,
@@ -24,10 +25,14 @@ def demo_model(n_grid=(100, 200, 400, 800)):
     return PlantedModel(cfg)
 
 
+def draw_stores(model, m, seed):
+    return {n: draw_spectra(model, n, m, seed) for n in model.n_grid}
+
+
 def check_deterministic_trace(fixed, n, k_max, m):
     # every draw is the same spectrum, so the stderr is rounding noise
     model = PlantedModel(PlantedConfig(1.0, 4.0, (n,), fixed))
-    t = mc_expected_trace(model, n, k_max, m, seed=0)
+    t = mc_expected_trace(draw_spectra(model, n, m, seed=0), k_max)
     want = [planted_exact_trace(model.cfg, n, k) for k in range(1, k_max + 1)]
     assert np.allclose(t.means, want, rtol=1e-12, atol=1e-12)
     assert np.all(t.stderrs <= 1e-12 * np.abs(t.means))
@@ -46,7 +51,7 @@ def test_mc_deterministic_covariance_does_not_cancel():
 def test_mc_matches_exact_oracle_within_stderr():
     # convergence of the sample mean to the closed form, k = 1..10
     model = demo_model()
-    t = mc_expected_trace(model, 100, 10, 100_000, seed=1)
+    t = mc_expected_trace(draw_spectra(model, 100, 100_000, seed=1), 10)
     for idx, k in enumerate(t.ks):
         want = planted_exact_trace(model.cfg, 100, int(k))
         assert abs(t.means[idx] - want) <= 4 * max(t.stderrs[idx], 1e-12)
@@ -54,8 +59,8 @@ def test_mc_matches_exact_oracle_within_stderr():
 
 def test_mc_determinism():
     model = demo_model()
-    a = mc_expected_trace(model, 100, 5, 500, seed=9)
-    b = mc_expected_trace(model, 100, 5, 500, seed=9)
+    a = mc_expected_trace(draw_spectra(model, 100, 500, seed=9), 5)
+    b = mc_expected_trace(draw_spectra(model, 100, 500, seed=9), 5)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.stderrs, b.stderrs)
 
@@ -63,9 +68,9 @@ def test_mc_determinism():
 def test_mc_validates_horizon():
     model = demo_model()
     with pytest.raises(ValueError):
-        mc_expected_trace(model, 100, 1000, 10, seed=0)
+        mc_expected_trace(draw_spectra(model, 100, 10, seed=0), 1000)
     with pytest.raises(ValueError):
-        mc_expected_trace(model, 100, 5, 1, seed=0)
+        mc_expected_trace(draw_spectra(model, 100, 1, seed=0), 5)
 
 
 def oracle_tables(model, k_max=20):
@@ -124,7 +129,7 @@ def test_fit_requires_enough_dimensions():
 def test_fit_ill_conditioned_error():
     # nearly coincident dimensions push the 1/n system past the cap
     tables = [
-        TraceTable(n, np.arange(1, 6), np.ones(5), np.zeros(5), 0)
+        TraceTable(n, np.arange(1, 6), np.ones(5), np.zeros(5), 0, np.zeros((5, 5)))
         for n in (10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3)
     ]
     with pytest.raises(IllConditionedError) as info:
@@ -231,7 +236,7 @@ def test_find_smallest_j_level_zero_plant():
 
 def test_estimate_C_ell_bernoulli_oracle():
     model = demo_model((200, 400, 800))
-    ce = estimate_C_ell(model, 2.0, 1, 0.3, model.n_grid, 4000, seed=5)
+    ce = estimate_C_ell(draw_stores(model, 4000, seed=5), 2.0, 1, 0.3)
     # per-n scaled count is Binomial(m, C/n) * n / m: stderr ~ sqrt(n C / m)
     for n, val in ce.per_n:
         sigma = np.sqrt(n * 5.0 / 4000)
@@ -241,7 +246,7 @@ def test_estimate_C_ell_bernoulli_oracle():
 
 def test_estimate_C_ell_absent_base_gives_zero():
     model = demo_model((100, 200))
-    ce = estimate_C_ell(model, 3.0, 1, 0.3, model.n_grid, 2000, seed=6)
+    ce = estimate_C_ell(draw_stores(model, 2000, seed=6), 3.0, 1, 0.3)
     assert ce.extrapolated == 0.0
 
 
@@ -252,9 +257,10 @@ def test_estimate_C_ell_isolates_nearby_bases():
     )
     model = PlantedModel(cfg)
     # theta = 0.5: radius n**-0.5 <= 0.1 < 0.5 spacing
-    ce = estimate_C_ell(model, 2.0, 1, 0.5, model.n_grid, 4000, seed=9)
+    stores = draw_stores(model, 4000, seed=9)
+    ce = estimate_C_ell(stores, 2.0, 1, 0.5)
     assert ce.extrapolated == pytest.approx(5.0, rel=0.25)
-    ce_other = estimate_C_ell(model, 2.5, 1, 0.5, model.n_grid, 4000, seed=9)
+    ce_other = estimate_C_ell(stores, 2.5, 1, 0.5)
     assert ce_other.extrapolated == pytest.approx(8.0, rel=0.25)
 
 
@@ -267,7 +273,7 @@ def test_estimate_C_ell_monotone_in_radius():
     small = Region(None, (2.0,), 0.05)
     large = Region(None, (2.0,), 0.5)
     (e_small, _), (e_large, _) = region_expectations(
-        model, 100, 2000, 8, [small, large]
+        draw_spectra(model, 100, 2000, seed=8), [small, large]
     )
     assert e_large >= e_small
 
@@ -275,7 +281,8 @@ def test_estimate_C_ell_monotone_in_radius():
 def test_oracle_closure_small_scale():
     # end to end at reduced m: j exact, ell within 1e-2, C within 10%
     model = demo_model((100, 200, 400, 800))
-    tables = [mc_expected_trace(model, n, 20, 20_000, seed=2) for n in model.n_grid]
+    stores = draw_stores(model, 20_000, seed=2)
+    tables = [mc_expected_trace(stores[n], 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
     j = find_smallest_j(est, model.lambda0, model.lambda1)
     assert j == 1
@@ -283,5 +290,5 @@ def test_oracle_closure_small_scale():
     bases = detect_bases(est_d.level(1), est_d.ks, model.lambda0, model.lambda1, level=1)
     assert len(bases) == 1
     assert bases[0].ell == pytest.approx(2.0, abs=1e-2)
-    ce = estimate_C_ell(model, bases[0].ell, 1, 0.3, model.n_grid, 20_000, seed=2)
+    ce = estimate_C_ell(stores, bases[0].ell, 1, 0.3)
     assert abs(ce.extrapolated - 5.0) / 5.0 <= 0.10

@@ -167,10 +167,12 @@ def test_lift_hashimoto_size_and_modulus():
 def test_lift_conjugate_pairing_after_mapping():
     cfg = LiftConfig(complete_graph(4), (6,), hashimoto=True)
     s = lift_sample(cfg, 6, 11)
-    from sidestep import trace_split
-
-    real, nonreal = trace_split(s, 2)
-    assert isinstance(nonreal, float)
+    eigs = s.eigenvalues
+    # each upper-half value has its conjugate among the lower-half values
+    upper = np.sort_complex(eigs[eigs.imag > 1e-9])
+    lower = np.sort_complex(np.conj(eigs[eigs.imag < -1e-9]))
+    assert len(upper) > 0 and len(upper) == len(lower)
+    assert np.max(np.abs(upper - lower)) <= 1e-9
 
 
 def test_lift_determinism_bit_for_bit():

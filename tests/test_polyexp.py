@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
     GrowthEstimate,
@@ -107,6 +109,36 @@ def test_combine_linearity_randomized():
             want = a * pe_eval(p1, k) + b * pe_eval(p2, k)
             got = pe_eval(out, k)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+coeff = st.complex_numbers(max_magnitude=3)
+polyexps = st.builds(
+    Polyexponential.from_terms,
+    st.dictionaries(
+        st.sampled_from((0.5, -0.75, 1.25, -1.5, 2.0, 0.6 + 0.8j, 0.6 - 0.8j)),
+        st.lists(coeff, min_size=1, max_size=3),
+        max_size=3,
+    ),
+    st.lists(coeff, max_size=3),
+)
+
+
+def magnitude(p, k):
+    """Sum of the absolute sizes of the terms of p(k): the computation scale."""
+    total = sum(
+        abs(c) * k**j * abs(b) ** k for b, cs in p.terms for j, c in enumerate(cs)
+    )
+    return total + (abs(p.finite_support[k - 1]) if k <= len(p.finite_support) else 0)
+
+
+@settings(deadline=None)
+@given(p1=polyexps, p2=polyexps, a=coeff, b=coeff)
+def test_combine_is_linear(p1, p2, a, b):
+    out = pe_combine(p1, p2, a, b)
+    for k in range(1, 16):
+        want = a * pe_eval(p1, k) + b * pe_eval(p2, k)
+        scale = abs(a) * magnitude(p1, k) + abs(b) * magnitude(p2, k)
+        assert abs(pe_eval(out, k) - want) <= 1e-9 * max(1.0, scale)
 
 
 def test_minimality_after_random_combines():

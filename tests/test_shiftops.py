@@ -3,6 +3,8 @@ symbolic application."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
     Polyexponential,
@@ -271,3 +273,77 @@ def test_annihilator_requires_positive_degree():
         annihilator(0, [1.0])
     with pytest.raises(ValueError):
         annihilator(1, [])
+
+
+# --- properties over random inputs -------------------------------------------
+
+# well-separated real and nonreal bases, |l| in [0.5, 2]
+BASES = (0.5, -0.75, 1.25, -1.5, 2.0, 0.6 + 0.8j, 0.6 - 0.8j, 1.1j)
+coeff = st.complex_numbers(max_magnitude=3)
+nonzero_coeff = st.complex_numbers(min_magnitude=0.5, max_magnitude=3)
+base_sets = st.lists(st.sampled_from(BASES), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def polyexps(draw, bases=BASES, max_degree=2, finite_support=True):
+    chosen = draw(st.lists(st.sampled_from(bases), max_size=3, unique=True))
+    terms = {
+        b: draw(st.lists(coeff, min_size=1, max_size=max_degree + 1))
+        for b in chosen
+    }
+    fs = draw(st.lists(coeff, max_size=3)) if finite_support else []
+    return Polyexponential.from_terms(terms, fs)
+
+
+@st.composite
+def shift_polys(draw):
+    roots = draw(st.lists(st.sampled_from(BASES + (0.0, 3.0)), max_size=3))
+    factored = ShiftPolynomial.from_roots(roots, lead=draw(nonzero_coeff))
+    # half the time the factorization is forgotten, so both paths run
+    return factored if draw(st.booleans()) else ShiftPolynomial(factored.coeffs)
+
+
+def magnitude(p, k):
+    """Sum of the absolute sizes of the terms of p(k): the computation scale."""
+    total = sum(
+        abs(c) * k**j * abs(b) ** k for b, cs in p.terms for j, c in enumerate(cs)
+    )
+    return total + (abs(p.finite_support[k - 1]) if k <= len(p.finite_support) else 0)
+
+
+@settings(deadline=None)
+@given(q=shift_polys(), p=polyexps())
+def test_symbolic_application_matches_sequence_application(q, p):
+    ks = range(1, 13 + q.degree)
+    numeric = sp_apply_seq(q, [pe_eval(p, k) for k in ks])
+    image = sp_apply_polyexp(q, p)
+    for k, want in zip(ks, numeric):
+        scale = sum(abs(c) * magnitude(p, k + i) for i, c in enumerate(q.coeffs))
+        assert abs(pe_eval(image, k) - want) <= 1e-9 * max(1.0, scale)
+
+
+@settings(deadline=None)
+@given(bases=base_sets, d=st.integers(1, 3), data=st.data())
+def test_annihilator_kills_every_polyexponential_below_degree(bases, d, data):
+    p = data.draw(polyexps(tuple(bases), max_degree=d - 1, finite_support=False))
+    ann = annihilator(d, bases)
+    assert sp_apply_polyexp(ann, p).is_zero
+    ks = range(1, 13 + ann.degree)
+    residue = sp_apply_seq(ann, [pe_eval(p, k) for k in ks])
+    for k, value in zip(ks, residue):
+        scale = sum(abs(c) * magnitude(p, k + i) for i, c in enumerate(ann.coeffs))
+        assert abs(value) <= 1e-9 * max(1.0, scale)
+
+
+@settings(deadline=None)
+@given(bases=base_sets, t=st.integers(1, 4), data=st.data())
+def test_minimal_annihilating_degree_is_tight(bases, t, data):
+    # the first base carries a term of degree exactly t - 1
+    lead = data.draw(st.lists(coeff, min_size=t - 1, max_size=t - 1))
+    terms = {bases[0]: lead + [data.draw(nonzero_coeff)]}
+    for b in bases[1:]:
+        terms[b] = data.draw(st.lists(coeff, min_size=1, max_size=t))
+    p = Polyexponential.from_terms(terms)
+    assert minimal_annihilating_degree(p, bases) == t
+    if t > 1:
+        assert not sp_apply_polyexp(annihilator(t - 1, bases), p).is_zero

@@ -1,23 +1,22 @@
-"""Regions, spectrum samples, trace splitting, eigensolvers."""
+"""Regions, spectrum samples, eigensolvers, the directed-edge map."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
     Region,
     SpectrumSample,
     ein_eout,
     hashimoto_from_adjacency,
-    real_trace_in_region,
     region_contains,
     sym_eigs,
-    trace_split,
 )
 from sidestep.errors import (
     DimensionMismatchError,
     NonSymmetricError,
     SpectralRangeError,
-    UnpairedNonrealError,
 )
 
 
@@ -96,60 +95,6 @@ def test_ein_eout_bad_weights():
         ein_eout([sample([1.0], weight=0.4)], Region(1.0))
 
 
-def test_trace_split_conjugate_pair():
-    s = sample([1 + 1j, 1 - 1j, 2.0])
-    real, nonreal = trace_split(s, 2)
-    assert real == pytest.approx(4.0)
-    assert nonreal == pytest.approx(0.0, abs=1e-12)
-
-
-def test_trace_split_all_real():
-    s = sample([0.3, -1.2, 2.0])
-    for k in (1, 2, 5):
-        real, nonreal = trace_split(s, k)
-        assert nonreal == 0.0
-        assert real == pytest.approx(sum(x**k for x in (0.3, -1.2, 2.0)))
-
-
-def test_trace_split_imaginary_pair():
-    real, nonreal = trace_split(sample([1j, -1j]), 2)
-    assert (real, nonreal) == (0.0, pytest.approx(-2.0))
-
-
-def test_trace_split_totals_randomized():
-    rng = np.random.default_rng(19)
-    for _ in range(60):
-        reals = rng.uniform(-2, 2, rng.integers(1, 6))
-        pairs = rng.uniform(-1, 1, (rng.integers(0, 4), 2))
-        eigs = list(reals.astype(complex))
-        for a, b in pairs:
-            eigs += [complex(a, abs(b) + 0.01), complex(a, -abs(b) - 0.01)]
-        s = sample(eigs)
-        for k in (1, 2, 3, 6):
-            real, nonreal = trace_split(s, k)
-            want = sum(z**k for z in eigs)
-            assert real + nonreal == pytest.approx(want.real, rel=1e-9, abs=1e-9)
-
-
-def test_trace_split_unpaired_error():
-    with pytest.raises(UnpairedNonrealError):
-        trace_split(sample([1 + 1j, 2.0]), 2)
-
-
-def test_real_trace_in_region():
-    s = sample([2.0, 0.5])
-    assert real_trace_in_region(s, 2, Region(1.0)) == pytest.approx(0.25)
-    whole = Region(100.0)
-    real, _ = trace_split(s, 3)
-    assert real_trace_in_region(s, 3, whole) == pytest.approx(real)
-
-
-def test_real_trace_in_region_point_windows():
-    s = sample([2.0, 1.9, 0.1])
-    r = Region(0.5, (2.0,), 0.15)
-    assert real_trace_in_region(s, 1, r) == pytest.approx(4.0)
-
-
 def test_sym_eigs_identity():
     assert np.allclose(sym_eigs(np.eye(3)), [1, 1, 1])
 
@@ -220,6 +165,22 @@ def test_hashimoto_nonreal_modulus():
         nonreal = out[np.abs(out.imag) > 1e-12]
         if len(nonreal):
             assert np.max(np.abs(np.abs(nonreal) - np.sqrt(d - 1))) <= 1e-12
+
+
+@settings(deadline=None)
+@given(d=st.integers(3, 8), data=st.data())
+def test_hashimoto_power_sums_follow_ihara_bass(d, data):
+    # the two roots of z**2 - mu z + (d-1) have power sums p_k(mu) with
+    # p_0 = 2, p_1 = mu, p_k = mu p_{k-1} - (d-1) p_{k-2}
+    mus = np.array(data.draw(st.lists(st.floats(-d, d), min_size=1, max_size=6)))
+    zs = hashimoto_from_adjacency(mus, d)
+    p_prev, p = np.full(len(mus), 2.0), mus
+    for k in range(1, 13):
+        got = np.sum(zs**k)
+        scale = np.sum(np.abs(zs) ** k)
+        assert abs(got.real - np.sum(p)) <= 1e-9 * scale
+        assert abs(got.imag) <= 1e-9 * scale
+        p_prev, p = p, mus * p - (d - 1) * p_prev
 
 
 def test_hashimoto_range_error():

@@ -12,7 +12,6 @@ from sidestep import (
     Region,
     Spectra,
     SpectrumSample,
-    StoredModel,
     draw_spectra,
     mc_expected_trace,
     region_contains,
@@ -153,7 +152,7 @@ ZERO, SOME = [0j, 0j], [2.0 + 0j, -1j]
 def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     n, m = 100, len(draws)  # n only bounds k_max through the trace horizon
     spectra = draw_spectra(FixedDraws(draws), n, m, seed=0)
-    table = mc_expected_trace(StoredModel(None, {n: spectra}), n, k_max, m, 0)
+    table = mc_expected_trace(spectra, k_max)
     sums = np.array([_power_sums(d, k_max) for d in draws])
     cov = np.cov(sums.T).reshape(k_max, k_max) / m
     for got, want in ((table.means, sums.mean(axis=0)), (table.covariance, cov)):
@@ -174,11 +173,9 @@ def test_store_reductions_equal_per_draw_loops():
     model = demo_model()
     n, m, seed = 100, 1500, 21
     spectra = draw_spectra(model, n, m, seed)
-    stored = StoredModel(model, {n: spectra})
     # fewer than _CHUNK draws, so the chunked sum is the plain sequential one
-    means = mc_expected_trace(stored, n, 12, m, seed).means.tobytes()
+    means = mc_expected_trace(spectra, 12).means.tobytes()
     assert means == _reference_trace_sums(model, n, 12, m, seed).tobytes()
-    assert means == mc_expected_trace(model, n, 12, m, seed).means.tobytes()
     regs = [
         Region(1.5, (2.0,), 0.1),
         Region(None, (2.0,), n**-0.3),
@@ -186,18 +183,7 @@ def test_store_reductions_equal_per_draw_loops():
         Region(None, (0.0,), 0.0),
     ]
     want = _reference_region_expectations(model, n, m, seed, regs)
-    assert region_expectations(stored, n, m, seed, regs) == want
-    assert region_expectations(model, n, m, seed, regs) == want
-
-
-def test_stored_model_rejects_other_draws():
-    model = demo_model()
-    stored = StoredModel(model, {100: draw_spectra(model, 100, 50, seed=1)})
-    assert stored.lambda0 == model.lambda0 and stored.kind == "planted"
-    with pytest.raises(ValueError, match="m=50"):
-        stored.spectra(100, 60, 1)
-    with pytest.raises(ValueError, match="seed=1"):
-        stored.spectra(100, 50, 2)
+    assert region_expectations(spectra, regs) == want
 
 
 def test_verify_sidestep_draws_each_sample_once(monkeypatch):

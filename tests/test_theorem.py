@@ -13,6 +13,7 @@ from sidestep import (
     SpectrumSample,
     certify_markov,
     certify_real_trace_bound,
+    draw_spectra,
     exact_trace_table,
     exceptional_params,
     fit_expansion,
@@ -27,6 +28,10 @@ from sidestep.errors import ParameterError, PreconditionError
 def demo_model(n_grid=(100, 200, 400, 800)):
     cfg = PlantedConfig(1.0, 4.0, n_grid, (0.5,), (Plant(2.0, 5.0, 1),))
     return PlantedModel(cfg)
+
+
+def draw_stores(model, m, seed):
+    return {n: draw_spectra(model, n, m, seed) for n in model.n_grid}
 
 
 # --- parameter formulas ---------------------------------------------------
@@ -270,7 +275,7 @@ def test_verify_exceptional_bound_planted_pass():
     model = demo_model((50, 100, 200))
     params = exceptional_params(1.0, 4.0, 0.5, 2.0)
     report = verify_exceptional_bound(
-        model, params, [2.0], params.theta0, model.n_grid, 2000, seed=3
+        model, draw_stores(model, 2000, seed=3), params, [2.0], params.theta0
     )
     assert report.passed
     assert all(r["eout"] == 0.0 for r in report.rows)
@@ -280,7 +285,7 @@ def test_verify_exceptional_bound_missing_base_fails():
     model = demo_model((50, 100, 200))
     params = exceptional_params(1.0, 4.0, 0.5, 2.0)
     report = verify_exceptional_bound(
-        model, params, [], params.theta0, model.n_grid, 2000, seed=3
+        model, draw_stores(model, 2000, seed=3), params, [], params.theta0
     )
     assert not report.passed
     assert 2.0 in report.flagged
@@ -290,7 +295,7 @@ def test_verify_exceptional_bound_large_epsilon_swallows_all():
     model = demo_model((50, 100))
     params = exceptional_params(1.0, 4.0, 3.5, 2.0)  # lambda0+eps > lambda1
     report = verify_exceptional_bound(
-        model, params, [], params.theta0, model.n_grid, 500, seed=5
+        model, draw_stores(model, 500, seed=5), params, [], params.theta0
     )
     assert report.passed
     assert all(r["eout"] == 0.0 for r in report.rows)
@@ -301,7 +306,7 @@ def test_verify_exceptional_bound_theta_precondition():
     params = exceptional_params(1.0, 4.0, 0.5, 2.0)
     with pytest.raises(PreconditionError):
         verify_exceptional_bound(
-            model, params, [2.0], params.theta0 * 3, (50,), 100, seed=0
+            model, draw_stores(model, 100, seed=0), params, [2.0], params.theta0 * 3
         )
 
 
