@@ -55,6 +55,7 @@ from .estimation import (
     DetectedBase,
     ExpansionEstimate,
     TraceTable,
+    analyze_levels,
     detect_bases,
     detect_levels,
     estimate_C_ell,

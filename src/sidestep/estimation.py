@@ -129,21 +129,16 @@ class ExpansionEstimate:
     residuals: np.ndarray     # weighted residual norm per k
     condition: float
     n_grid: tuple[int, ...]
-    level_covs: tuple = None  # r matrices of shape (len(ks), len(ks))
+    level_covs: tuple         # r matrices of shape (len(ks), len(ks))
 
     def level(self, i: int) -> np.ndarray:
         return self.coeffs[:, i]
 
-    def level_covariance(self, i: int):
-        if self.level_covs is None:
-            return None
+    def level_covariance(self, i: int) -> np.ndarray:
         return self.level_covs[i]
 
     def restrict(self, k_min: int) -> "ExpansionEstimate":
         mask = self.ks >= k_min
-        covs = None
-        if self.level_covs is not None:
-            covs = tuple(c[np.ix_(mask, mask)] for c in self.level_covs)
         return ExpansionEstimate(
             self.r,
             self.ks[mask],
@@ -151,7 +146,7 @@ class ExpansionEstimate:
             self.residuals[mask],
             self.condition,
             self.n_grid,
-            covs,
+            tuple(c[np.ix_(mask, mask)] for c in self.level_covs),
         )
 
 
@@ -182,7 +177,6 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     solve_maps = np.zeros((len(ks), r, len(ns)))
     worst_cond = 0.0
     offsets = [int(np.searchsorted(t.ks, k_lo)) for t in tables]
-    noisy = any(np.any(t.stderrs > 0) for t in tables)
     for row, k in enumerate(ks):
         y = np.array([t.means[off + row] for t, off in zip(tables, offsets)])
         se = np.array([t.stderrs[off + row] for t, off in zip(tables, offsets)])
@@ -206,14 +200,11 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
             np.linalg.pinv(a / col_scale) * sw[None, :]
         ) / col_scale[:, None]
     covs = [np.zeros((len(ks), len(ks))) for _ in range(r)]
-    if noisy:
-        for t_idx, (table, off) in enumerate(zip(tables, offsets)):
-            block = table.covariance[
-                off : off + len(ks), off : off + len(ks)
-            ]
-            for i in range(r):
-                gain = solve_maps[:, i, t_idx]
-                covs[i] += np.outer(gain, gain) * block
+    for t_idx, (table, off) in enumerate(zip(tables, offsets)):
+        block = table.covariance[off : off + len(ks), off : off + len(ks)]
+        for i in range(r):
+            gain = solve_maps[:, i, t_idx]
+            covs[i] += np.outer(gain, gain) * block
     # floating-point floor of the fit itself: a coefficient that sits far
     # below another column's contribution carries coherent roundoff of this
     # size, which downstream detection must not mistake for signal
@@ -368,6 +359,24 @@ def detect_levels(
         )
         for i in range(est.r)
     ]
+
+
+def analyze_levels(
+    stores: Mapping[int, Spectra],
+    k_max: int,
+    r: int,
+    lambda0: float,
+    lambda1: Optional[float],
+    max_bases: int,
+) -> tuple[list[TraceTable], ExpansionEstimate, list[list[DetectedBase]]]:
+    """The shared analysis pass: reduce every store to its trace table, fit
+    the expansion to order r, and detect the bases of each level.
+
+    Stores are reduced in increasing n, one looked up at a time.
+    """
+    tables = [mc_expected_trace(stores[n], k_max) for n in sorted(stores)]
+    estimate = fit_expansion(tables, r)
+    return tables, estimate, detect_levels(estimate, lambda0, lambda1, max_bases)
 
 
 def find_smallest_j(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,18 +57,8 @@ def sample_seed(seed: int, n: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), int(index)))
 
 
-def draw_spectra(
-    model,
-    n: int,
-    m: int,
-    seed: int,
-    on_draw: Optional[Callable[[np.ndarray], None]] = None,
-) -> Spectra:
-    """Draw samples i = 0..m-1 of dimension n once and keep their spectra.
-
-    ``on_draw``, when given, is called with each draw's full eigenvalue
-    array, in draw order, zeros included.
-    """
+def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
+    """Draw samples i = 0..m-1 of dimension n once and keep their spectra."""
     if m < 1:
         raise ValueError(f"need at least 1 sample, got {m}")
     parts = []
@@ -80,8 +70,6 @@ def draw_spectra(
             dim = len(eigs)
         elif len(eigs) != dim:
             raise DimensionMismatchError(f"sample dimension {len(eigs)} != {dim}")
-        if on_draw is not None:
-            on_draw(eigs)
         nonzero = eigs[eigs != 0]
         parts.append(nonzero)
         sizes[i + 1] = len(nonzero)
@@ -204,15 +192,13 @@ class LiftConfig:
     hashimoto: bool = True
     lambda0: float = 0.0
     lambda1: float = 0.0
-    degree: int = field(default=0)
+    degree: int = field(init=False, default=0)
 
     def __post_init__(self):
         adj = np.asarray(self.base_adjacency, dtype=int)
         adj.setflags(write=False)
         object.__setattr__(self, "base_adjacency", adj)
         d = _validate_regular(adj)
-        if self.degree and self.degree != d:
-            raise ValueError(f"declared degree {self.degree} != actual {d}")
         object.__setattr__(self, "degree", d)
         if d < 3 and self.hashimoto:
             raise ValueError("directed-edge mapping needs degree >= 3")

@@ -104,10 +104,6 @@ class Polyexponential:
             tuple(finite_support),
         )
 
-    @classmethod
-    def single(cls, base: complex, coeffs: Sequence[complex]) -> "Polyexponential":
-        return cls(((complex(base), tuple(coeffs)),))
-
     @property
     def bases(self) -> tuple[complex, ...]:
         return tuple(b for b, _ in self.terms)

@@ -31,12 +31,9 @@ from .errors import ParameterError, PreconditionError, WindowTooShortError
 from .estimation import (
     CEllEstimate,
     DetectedBase,
-    ExpansionEstimate,
     TraceTable,
-    detect_levels,
+    analyze_levels,
     estimate_C_ell,
-    fit_expansion,
-    mc_expected_trace,
     region_expectations,
 )
 from .shiftops import ShiftPolynomial, annihilator, sp_apply_seq
@@ -295,7 +292,7 @@ class EnvelopeCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.worst["slack"] >= -1e-9 * self.worst["scale"]
+        return self.worst["passed"]
 
 
 def certify_real_trace_bound(
@@ -304,7 +301,7 @@ def certify_real_trace_bound(
     bases: Sequence[float],
     d: int,
     r: int,
-    estimate: Optional[ExpansionEstimate] = None,
+    levels: Sequence[Sequence[DetectedBase]],
     delta: float = 0.05,
 ) -> EnvelopeCertificate:
     """Check |Ann(S) applied to the mean traces| against the two-branch
@@ -313,89 +310,62 @@ def certify_real_trace_bound(
     The nonreal part of the trace is itself of central growth, so full-trace
     tables are a sound stand-in for the real-eigenvalue trace here.  The
     certificate records whether d reaches the minimal annihilating degree of
-    the detected structure; running below it is allowed and expected to fail.
+    the detected structure ``levels`` (bases per fitted level, as returned
+    by ``analyze_levels``); running below it is allowed and expected to fail.
     """
     if d < 0:
         raise PreconditionError(f"annihilator degree must be >= 0, got {d}")
     points = tuple(float(b) for b in bases)
-    if d == 0 or not points:
-        ann = ShiftPolynomial.identity()
-    else:
-        ann = annihilator(d, points)
-    lam0, lam1 = model.lambda0, model.lambda1
-    d_sufficient = d >= 1 or estimate is None
-    if estimate is not None and points:
-        detected = [
-            db for found in detect_levels(estimate, lam0, lam1) for db in found
-        ]
-        covered = all(
+    ann = annihilator(d, points) if d and points else ShiftPolynomial.identity()
+    d_sufficient = d >= 1 and (
+        not points
+        or all(
             any(abs(db.ell - p) <= 0.05 * max(1.0, abs(p)) for p in points)
-            for db in detected
+            for found in levels
+            for db in found
         )
-        d_sufficient = d >= 1 and covered
-    tables = sorted(tables, key=lambda t: t.n)
+    )
+    lam0, lam1 = model.lambda0, model.lambda1
+    # |Ann|(S) applied to |means| and to stderrs sizes the rounding and the
+    # sampling error of Ann(S) applied to the means
+    abs_ann = ShiftPolynomial(tuple(np.abs(np.array(ann.coeffs))))
     deg = ann.degree
-    rows: list[dict] = []
-    for t in tables:
+    parts = []
+    for t in sorted(tables, key=lambda t: t.n):
         if len(t.ks) < deg + 1:
             raise WindowTooShortError(
                 f"table window {len(t.ks)} too short for annihilator degree {deg}"
             )
-        g = np.real(sp_apply_seq(ann, t.means.astype(complex)))
-        qs = np.abs(np.array(ann.coeffs))
-        for idx in range(len(g)):
-            k = int(t.ks[idx])
-            mag_in = sum(
-                q * abs(t.means[idx + i]) for i, q in enumerate(qs) if q
-            )
-            se_in = sum(q * t.stderrs[idx + i] for i, q in enumerate(qs) if q)
-            floor = 1e-12 * mag_in + 5.0 * se_in
-            rows.append(
-                {
-                    "n": t.n,
-                    "k": k,
-                    "value": float(abs(g[idx])),
-                    "floor": float(floor),
-                    "u_central": (lam0 + delta) ** k * t.n,
-                    "u_remainder": (lam1 + delta) ** k * float(t.n) ** (-r),
-                }
-            )
-    k_values = sorted({row["k"] for row in rows})
-    k_mid = k_values[len(k_values) // 2]
-    fit_rows = [row for row in rows if row["k"] <= k_mid]
-    a_const = max(
-        (max(row["value"] - row["floor"], 0.0) / row["u_central"] for row in fit_rows),
-        default=0.0,
+        ks = t.ks[: len(t.ks) - deg].tolist()
+        value = np.abs(np.real(sp_apply_seq(ann, t.means.astype(complex))))
+        mag_in = np.real(sp_apply_seq(abs_ann, np.abs(t.means)))
+        se_in = np.real(sp_apply_seq(abs_ann, t.stderrs))
+        parts.append((
+            [t.n] * len(ks),
+            ks,
+            value,
+            1e-12 * mag_in + 5.0 * se_in,
+            [(lam0 + delta) ** k * t.n for k in ks],
+            [(lam1 + delta) ** k * float(t.n) ** (-r) for k in ks],
+        ))
+    n, k, value, floor, u_c, u_r = (np.concatenate(col) for col in zip(*parts))
+    k_values = sorted(set(k.tolist()))
+    fit = k <= k_values[len(k_values) // 2]
+    a_const = float(np.max(np.maximum(value - floor, 0.0)[fit] / u_c[fit]))
+    b_const = float(
+        np.max(np.maximum(value - a_const * u_c - floor, 0.0)[fit] / u_r[fit])
     )
-    b_const = max(
-        (
-            max(row["value"] - a_const * row["u_central"] - row["floor"], 0.0)
-            / row["u_remainder"]
-            for row in fit_rows
-        ),
-        default=0.0,
+    envelope = a_const * u_c + b_const * u_r
+    slack = envelope + floor - value
+    scale = np.maximum(np.maximum(1.0, value), envelope)
+    passed = slack >= -1e-9 * scale
+    columns = (n, k, value, envelope, floor, slack, scale, passed)
+    keys = ("n", "k", "value", "envelope", "floor", "slack", "scale", "passed")
+    rows = tuple(
+        dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))
     )
-    worst = None
-    out_rows = []
-    for row in rows:
-        envelope = a_const * row["u_central"] + b_const * row["u_remainder"]
-        slack = envelope + row["floor"] - row["value"]
-        scale = max(1.0, row["value"], envelope)
-        entry = {
-            "n": row["n"],
-            "k": row["k"],
-            "value": row["value"],
-            "envelope": envelope,
-            "floor": row["floor"],
-            "slack": slack,
-            "scale": scale,
-        }
-        out_rows.append(entry)
-        if worst is None or slack / scale < worst["slack"] / worst["scale"]:
-            worst = entry
-    return EnvelopeCertificate(
-        a_const, b_const, delta, tuple(out_rows), d_sufficient, worst
-    )
+    worst = rows[int(np.argmin(slack / scale))]
+    return EnvelopeCertificate(a_const, b_const, delta, rows, d_sufficient, worst)
 
 
 def _trend_slope(ns: Sequence[int], values: Sequence[float]) -> Optional[float]:
@@ -530,17 +500,16 @@ def verify_sidestep(
     than enforced.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    # one set of draws per n feeds the tables, the eout rows and the counts
-    stores = {n: draw_spectra(model, n, m, seed) for n in n_grid}
-    tables = [mc_expected_trace(stores[n], k_max) for n in n_grid]
     # one remainder level beyond j when the grid affords it
     r = j + 2 if len(n_grid) >= j + 3 else j + 1
     if len(n_grid) < r + 1:
         raise ValueError(f"need at least {r + 1} grid points for level {j}")
-    est = fit_expansion(tables, r)
-    detected = tuple(
-        detect_levels(est, model.lambda0, model.lambda1, max_bases)[j]
+    # one set of draws per n feeds the tables, the eout rows and the counts
+    stores = {n: draw_spectra(model, n, m, seed) for n in n_grid}
+    _, _, levels = analyze_levels(
+        stores, k_max, r, model.lambda0, model.lambda1, max_bases
     )
+    detected = tuple(levels[j])
     points = tuple(d.ell for d in detected)
     rows = []
     scaled = []

@@ -420,8 +420,9 @@ def test_criterion_8_negative_controls(tmp_path):
     model = ss.PlantedModel(cfg)
     tables = [ss.exact_trace_table(model, n, 20) for n in n_grid]
     est = ss.fit_expansion(tables, 2)
-    good = ss.certify_real_trace_bound(model, tables, [2.0], 1, 2, est)
-    weak = ss.certify_real_trace_bound(model, tables, [2.0], 0, 2, est)
+    levels = ss.detect_levels(est, model.lambda0, model.lambda1)
+    good = ss.certify_real_trace_bound(model, tables, [2.0], 1, 2, levels)
+    weak = ss.certify_real_trace_bound(model, tables, [2.0], 0, 2, levels)
     envelope_ok = good.passed and not weak.passed and not weak.d_sufficient
     report(
         8,

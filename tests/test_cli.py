@@ -132,6 +132,8 @@ def test_bad_schema_version(tmp_path):
         ("model.fixed_part", [None]),
         ("model.plants", [{"ell": "2.0", "amplitude": 5.0, "level": 1}]),
         ("model.plants", [{"ell": 2.0, "amplitude": False, "level": 1}]),
+        ("out_dir", 5),
+        ("out_dir", ""),
     ],
 )
 def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
@@ -146,6 +148,19 @@ def test_lift_hashimoto_must_be_boolean(tmp_path, capsys):
     cfg = write_config(tmp_path, overrides={"model": model, "n_grid": [3, 5]})
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert "config error: model.hashimoto" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entry", [1.9, True, "1"])
+def test_lift_adjacency_entries_must_be_integers(tmp_path, capsys, entry):
+    # a valid lift config but for one entry, which would be cast to 1
+    raw = json.loads((CONFIG_DIR / "lift_demo.json").read_text())
+    raw["m"] = 2
+    raw["model"]["base_adjacency"][2][3] = entry
+    cfg = tmp_path / "lift.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "config error: model.base_adjacency[2][3]" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -240,6 +255,34 @@ def test_shipped_config_full_pipeline(tmp_path, name):
     for command in commands:
         code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
         assert code == 0, f"{name}: {command} exited {code}"
+
+
+def _demo_without_detect_section():
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    raw.update(m=2000, k_max=12)
+    del raw["detect"]
+    return raw
+
+
+def _lift_demo_certifying_a_base():
+    raw = json.loads((CONFIG_DIR / "lift_demo.json").read_text())
+    raw["certify"] = {"D": 2, "L": [2.0], "epsilon": 0.3}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make_config", [_demo_without_detect_section, _lift_demo_certifying_a_base]
+)
+def test_certify_runs_wherever_analyze_runs(tmp_path, make_config):
+    # k_max <= 12 leaves a detection window of 9; certify detects with the
+    # config's max_bases, as analyze does, not with a fixed 4
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(make_config()))
+    codes = [
+        run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        for command in ("run", "analyze", "certify")
+    ]
+    assert codes == [0, 0, 0]
 
 
 def test_analyze_no_plants_reports_decay_regime(tmp_path):
@@ -428,7 +471,7 @@ def test_unreadable_spectrum_store_exits_4(tmp_path, capsys):
 
 
 def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):
-    from sidestep import cli
+    from sidestep import estimation
     from sidestep.errors import IllConditionedError
 
     def ill_conditioned(tables, r):
@@ -441,7 +484,7 @@ def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, overrides={"m": 500})
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", out) == 0
-    monkeypatch.setattr(cli, "fit_expansion", ill_conditioned)
+    monkeypatch.setattr(estimation, "fit_expansion", ill_conditioned)
     capsys.readouterr()
     assert run_cli("analyze", "--config", cfg, "--out", out) == 3
     err = capsys.readouterr().err
@@ -449,9 +492,8 @@ def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):
     assert "(k=7, n_grid=(100, 200, 400), r=2)" in err
 
 
-def test_benchmark_output_check_passes_on_lift_run(tmp_path, monkeypatch):
-    # the benchmark's lift check imports names from the package; a deleted
-    # name shows here before the benchmark runs
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     import importlib.util
     import sys
 
@@ -460,6 +502,13 @@ def test_benchmark_output_check_passes_on_lift_run(tmp_path, monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_output_check_passes_on_lift_run(tmp_path, monkeypatch):
+    # the benchmark's lift check imports names from the package; a deleted
+    # name shows here before the benchmark runs
+    workloads = _benchmark_workloads(monkeypatch)
     raw = json.loads((CONFIG_DIR / "lift_demo.json").read_text())
     raw["m"] = 2
     cfg = tmp_path / "lift.json"
@@ -467,3 +516,34 @@ def test_benchmark_output_check_passes_on_lift_run(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", out) == 0
     assert workloads.check_lift_demo(out, raw)["run"] == []
+
+
+@pytest.mark.parametrize("name", ["planted-demo", "lift-demo", "planted-miss"])
+def test_benchmark_tracer_self_test_passes(tmp_path, monkeypatch, name):
+    # the traced benchmark pass fails when a function named in a workload's
+    # ``runs`` is still defined but no longer called; run it at small m
+    import os
+    import subprocess
+    import sys
+
+    root = CONFIG_DIR.parent
+    workload = _benchmark_workloads(monkeypatch).WORKLOADS[name]
+    raw = workload.make_config(root, 1)
+    raw["m"] = min(workload.m, 2000)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [
+            sys.executable, str(root / "perfbench" / "tracer.py"),
+            "--workload", name, "--config", str(cfg),
+            "--work", str(tmp_path / "work"), "--seconds", "0",
+            "--spans", str(tmp_path / "spans.npz"),
+        ],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(child.stdout.strip().splitlines()[-1])
+    assert result["problems"] == []
+    for traced in result["traced"]:
+        codes = tuple(r["code"] for r in traced["commands"])
+        assert codes == workload.expected_exit

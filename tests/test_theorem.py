@@ -10,15 +10,20 @@ from sidestep import (
     Plant,
     PlantedConfig,
     PlantedModel,
+    ShiftPolynomial,
     SpectrumSample,
+    TraceTable,
+    annihilator,
     certify_markov,
     certify_real_trace_bound,
+    detect_levels,
     draw_spectra,
     exact_trace_table,
     exceptional_params,
     fit_expansion,
     mc_expected_trace,
     sidestep_params,
+    sp_apply_seq,
     verify_exceptional_bound,
     verify_sidestep,
 )
@@ -231,7 +236,8 @@ def test_real_trace_bound_oracle_annihilation():
     model = demo_model()
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
-    cert = certify_real_trace_bound(model, tables, [2.0], 1, 2, est)
+    levels = detect_levels(est, model.lambda0, model.lambda1)
+    cert = certify_real_trace_bound(model, tables, [2.0], 1, 2, levels)
     assert cert.d_sufficient
     assert cert.passed
 
@@ -241,7 +247,8 @@ def test_real_trace_bound_no_plants_growth_check():
     model = PlantedModel(cfg)
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
-    cert = certify_real_trace_bound(model, tables, [], 0, 2, est)
+    levels = detect_levels(est, model.lambda0, model.lambda1)
+    cert = certify_real_trace_bound(model, tables, [], 0, 2, levels)
     assert cert.passed
 
 
@@ -251,7 +258,8 @@ def test_real_trace_bound_insufficient_degree_fails():
     model = demo_model()
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
-    cert = certify_real_trace_bound(model, tables, [2.0], 0, 2, est)
+    levels = detect_levels(est, model.lambda0, model.lambda1)
+    cert = certify_real_trace_bound(model, tables, [2.0], 0, 2, levels)
     assert not cert.d_sufficient
     assert not cert.passed
     assert cert.worst["k"] > 10
@@ -263,9 +271,62 @@ def test_real_trace_bound_isolation_profile_runs():
     model = demo_model()
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
-    cert = certify_real_trace_bound(model, tables, [], 2, 2, est)
+    levels = detect_levels(est, model.lambda0, model.lambda1)
+    cert = certify_real_trace_bound(model, tables, [], 2, 2, levels)
     assert len(cert.rows) > 0
     assert not cert.passed
+
+
+def _envelope_per_row(model, tables, bases, d, r, delta=0.05):
+    """Reference: the envelope certificate's rows, built one row at a time."""
+    ann = annihilator(d, bases) if d and bases else ShiftPolynomial.identity()
+    qs = np.abs(np.array(ann.coeffs))
+    rows = []
+    for t in sorted(tables, key=lambda t: t.n):
+        g = np.real(sp_apply_seq(ann, t.means.astype(complex)))
+        for idx in range(len(g)):
+            k = int(t.ks[idx])
+            mag_in = sum(q * abs(t.means[idx + i]) for i, q in enumerate(qs) if q)
+            se_in = sum(q * t.stderrs[idx + i] for i, q in enumerate(qs) if q)
+            rows.append((
+                t.n,
+                k,
+                float(abs(g[idx])),
+                float(1e-12 * mag_in + 5.0 * se_in),
+                (model.lambda0 + delta) ** k * t.n,
+                (model.lambda1 + delta) ** k * float(t.n) ** (-r),
+            ))
+    k_values = sorted({row[1] for row in rows})
+    fit = [row for row in rows if row[1] <= k_values[len(k_values) // 2]]
+    a = max(max(v - f, 0.0) / uc for _, _, v, f, uc, _ in fit)
+    b = max(max(v - a * uc - f, 0.0) / ur for _, _, v, f, uc, ur in fit)
+    out = []
+    for n, k, v, f, uc, ur in rows:
+        envelope = a * uc + b * ur
+        slack, scale = envelope + f - v, max(1.0, v, envelope)
+        out.append((n, k, v, envelope, f, slack, scale, slack >= -1e-9 * scale))
+    return a, b, out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_real_trace_bound_rows_match_per_row_reference(seed):
+    # the certificate reduces whole columns at once; every row must keep
+    # the bits of the one-row-at-a-time arithmetic
+    rng = np.random.default_rng(seed)
+    model = demo_model()
+    k_max = int(rng.integers(12, 21))
+    ks = np.arange(1, k_max + 1)
+    tables = []
+    for n in (400, 100, 200):
+        means = rng.normal(size=k_max) * 2.0**ks + 0.5**ks
+        stderrs = np.abs(rng.normal(size=k_max)) * (rng.random(k_max) < 0.7)
+        tables.append(TraceTable(n, ks, means, stderrs, 100, np.diag(stderrs**2)))
+    d, bases = [(0, []), (2, [2.0]), (2, [2.0, -1.5]), (4, [3.0])][seed % 4]
+    cert = certify_real_trace_bound(model, tables, bases, d, 2, [])
+    a, b, rows = _envelope_per_row(model, tables, bases, d, 2)
+    assert (cert.a_const, cert.b_const) == (a, b)
+    keys = ("n", "k", "value", "envelope", "floor", "slack", "scale", "passed")
+    assert [tuple(row[key] for key in keys) for row in cert.rows] == rows
 
 
 # --- verifiers ---------------------------------------------------------------
