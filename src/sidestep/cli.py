@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zipfile
 from collections.abc import Mapping
@@ -46,7 +47,7 @@ from .models import (
     draw_spectra,
     trace_horizon,
 )
-from .polyexp import Polyexponential
+from .polyexp import BASE_TOL, Polyexponential
 from .shiftops import annihilator
 from .spectral import Spectra
 from .theorem import (
@@ -87,13 +88,21 @@ def _int(value, field: str) -> int:
 
 
 def _float(value, field: str) -> float:
-    """A JSON number; strings, booleans and null are config errors."""
+    """A finite JSON number; strings, booleans, null, NaN and infinities are
+    config errors."""
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         field,
         f"must be a number, got {value!r}",
     )
+    _require(math.isfinite(value), field, f"must be finite, got {value!r}")
     return float(value)
+
+
+def _seed(value, field: str) -> int:
+    seed = _int(value, field)
+    _require(seed >= 0, field, f"must be >= 0, got {seed}")
+    return seed
 
 
 def _section(raw: dict, key: str, allowed: set[str]) -> dict:
@@ -161,7 +170,7 @@ class Experiment:
         _require("model" in raw, "model", "required field missing")
         _require("n_grid" in raw, "n_grid", "required field missing")
         _require("m" in raw, "m", "required field missing")
-        self.seed = _int(raw["seed"], "seed")
+        self.seed = _seed(raw["seed"], "seed")
         grid = raw["n_grid"]
         _require(
             isinstance(grid, list) and len(grid) >= 1,
@@ -241,32 +250,22 @@ class Experiment:
         )
 
         fit = _section(raw, "fit", {"r"})
-        # the default order fits the grid, so analyze runs on any grid of
-        # at least two points
+        # the default order fits any grid of at least two points
         default_r = max(1, min(2, len(self.n_grid) - 1))
         self.fit_r = _int(fit.get("r", default_r), "fit.r")
         _require(self.fit_r >= 1, "fit.r", "must be >= 1")
-        if "fit" in raw:
-            _require(
-                len(self.n_grid) >= self.fit_r + 1,
-                "fit.r",
-                "needs at least r+1 grid points",
-            )
+        self._fit_field = "fit.r" if "r" in fit else "n_grid"
 
         detect = _section(raw, "detect", {"max_bases"})
-        # the default fits the detection window checked below
+        # the default fits any detection window of at least 4 values
         default_bases = max(1, min(4, (self.k_max - DETECT_K_MIN - 1) // 2))
         self.max_bases = _int(
             detect.get("max_bases", default_bases), "detect.max_bases"
         )
         _require(self.max_bases >= 1, "detect.max_bases", "must be >= 1")
-        if "detect" in raw:
-            window = self.k_max - DETECT_K_MIN + 1
-            _require(
-                window >= 2 * self.max_bases + 2,
-                "detect.max_bases",
-                f"detection window {window} < 2*max_bases+2",
-            )
+        self._window_field = "detect.max_bases" if "max_bases" in detect else "k_max"
+        # run checks a rule of the analysis only when its section is set
+        self.check_analysis(fit="fit" in raw, window="detect" in raw)
 
         est = _section(raw, "estimate", {"theta"})
         self.theta = _float(est.get("theta", 0.3), "estimate.theta")
@@ -283,9 +282,15 @@ class Experiment:
             _require(alpha > 0, "certify.alpha", "must be positive")
             bases = cert.get("L", [])
             _require(isinstance(bases, list), "certify.L", "must be a list")
+            bases = tuple(_float(x, f"certify.L[{i}]") for i, x in enumerate(bases))
+            _require(
+                all(abs(a - b) > BASE_TOL for i, a in enumerate(bases) for b in bases[:i]),
+                "certify.L",
+                f"entries must be more than {BASE_TOL} apart, got {list(bases)}",
+            )
             self.certify = {
                 "D": d,
-                "L": tuple(_float(x, f"certify.L[{i}]") for i, x in enumerate(bases)),
+                "L": bases,
                 "epsilon": eps,
                 "alpha": alpha,
                 "theta": (
@@ -299,6 +304,28 @@ class Experiment:
             "out_dir",
             f"must be a nonempty string, got {self.out_dir!r}",
         )
+
+    def check_analysis(self, fit: bool = True, window: bool = True) -> None:
+        """The rules analyze and certify need: the fit order r needs r + 1
+        grid points, and detection needs 2 * max_bases + 2 values in the
+        window k = DETECT_K_MIN..k_max.  A failure names the field that set
+        the value at fault: fit.r or detect.max_bases when given, else the
+        n_grid or k_max their defaults follow."""
+        if fit:
+            _require(
+                len(self.n_grid) >= self.fit_r + 1,
+                self._fit_field,
+                f"fit order r={self.fit_r} needs at least {self.fit_r + 1} "
+                f"grid points, got {len(self.n_grid)}",
+            )
+        if window:
+            size = max(0, self.k_max - DETECT_K_MIN + 1)
+            _require(
+                size >= 2 * self.max_bases + 2,
+                self._window_field,
+                f"detection window k={DETECT_K_MIN}..{self.k_max} holds {size} "
+                f"values, fewer than 2*max_bases+2 = {2 * self.max_bases + 2}",
+            )
 
 
 def load_experiment(path: str | Path) -> Experiment:
@@ -357,11 +384,11 @@ def cmd_run(exp: Experiment, out: Path) -> int:
         spectra.save(_spectra_path(out, n))
         summary_rows.append((n, exp.m, exp.k_max, spectra.dim))
         if exp.model.kind == "lift":
-            rows = [
-                (i, z.real, z.imag)
-                for i in range(exp.m)
-                for z in spectra.sample(i).eigenvalues
-            ]
+            rows = []
+            for i in range(exp.m):
+                s = spectra.sample(i)
+                rows += [(i, z.real, z.imag) for z in s.eigenvalues]
+                rows += [(i, 0.0, 0.0)] * (s.n - len(s.eigenvalues))
             _write_csv(out / f"spectra_n{n}.csv", ["sample_id", "re", "im"], rows)
     _write_csv(
         out / "run_summary.csv",
@@ -413,6 +440,7 @@ class _SpectraFiles(Mapping):
 
 
 def cmd_analyze(exp: Experiment, out: Path) -> int:
+    exp.check_analysis()
     store = _SpectraFiles(exp, out)
     _, est, levels = analyze_levels(
         store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
@@ -467,6 +495,7 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
 def cmd_certify(exp: Experiment, out: Path) -> int:
     if exp.certify is None:
         raise ConfigError("certify section required for the certify command", "certify")
+    exp.check_analysis()
     store = _SpectraFiles(exp, out)
     tables, _, levels = analyze_levels(
         store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
@@ -599,7 +628,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         exp = load_experiment(args.config)
         if args.seed is not None:
-            exp.seed = args.seed
+            exp.seed = _seed(args.seed, "--seed")
         out = Path(args.out) if args.out else Path(exp.out_dir)
         handler = {
             "run": cmd_run,

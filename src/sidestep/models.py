@@ -65,11 +65,12 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
     sizes = np.zeros(m + 1, dtype=np.int64)
     dim = None
     for i in range(m):
-        eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
+        sample = model.sample(n, sample_seed(seed, n, i))
         if dim is None:
-            dim = len(eigs)
-        elif len(eigs) != dim:
-            raise DimensionMismatchError(f"sample dimension {len(eigs)} != {dim}")
+            dim = sample.n
+        elif sample.n != dim:
+            raise DimensionMismatchError(f"sample dimension {sample.n} != {dim}")
+        eigs = sample.eigenvalues
         nonzero = eigs[eigs != 0]
         parts.append(nonzero)
         sizes[i + 1] = len(nonzero)
@@ -134,16 +135,11 @@ def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
     for p in cfg.plants:
         if p.amplitude / n**p.level > 1:
             raise ProbabilityError(f"plant probability C/n^j > 1 at n={n}")
-    rng = _rng(seed)
-    eigs = np.zeros(n, dtype=complex)
-    base = len(cfg.fixed_part)
-    eigs[:base] = cfg.fixed_part
+    eigs = list(cfg.fixed_part)
     if cfg.plants:
-        u = rng.random(len(cfg.plants))
-        for slot, (p, x) in enumerate(zip(cfg.plants, u)):
-            if x < p.amplitude / n**p.level:
-                eigs[base + slot] = p.ell
-    return SpectrumSample(eigs, weight=1.0, n=n)
+        u = _rng(seed).random(len(cfg.plants))
+        eigs += [p.ell for p, x in zip(cfg.plants, u) if x < p.amplitude / n**p.level]
+    return SpectrumSample(eigs, n=n)
 
 
 def planted_exact_trace(cfg: PlantedConfig, n: int, k: int) -> float:
@@ -258,7 +254,7 @@ def lift_sample(cfg: LiftConfig, n: int, seed) -> SpectrumSample:
         eigs = hashimoto_from_adjacency(new, cfg.degree)
     else:
         eigs = new.astype(complex)
-    return SpectrumSample(eigs, weight=1.0, n=len(eigs))
+    return SpectrumSample(eigs)
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def model_validate(
     examples: list[tuple[int, complex]] = []
     for i, s in enumerate(samples):
         eigs = s.eigenvalues
-        total += len(eigs)
+        total += s.n
         ok = np.abs(eigs) <= lam0 + tol
         ok |= (np.abs(eigs.imag) <= tol) & (np.abs(eigs.real) <= lam1 + tol)
         for z in eigs[~ok]:

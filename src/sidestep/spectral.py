@@ -50,6 +50,14 @@ class Region:
             mask |= np.abs(eigs - p) <= self.point_radius
         return mask
 
+    def count(self, values: np.ndarray, size: int) -> int:
+        """Members of a multiset of ``size`` eigenvalues: ``values`` and
+        ``size - len(values)`` zeros."""
+        inside = int(np.count_nonzero(self.member_mask(values)))
+        if self.member_mask(np.zeros(1))[0]:
+            inside += size - len(values)
+        return inside
+
 
 def region_contains(region: Region, z: complex) -> bool:
     if region.center_radius is not None and abs(z) <= region.center_radius:
@@ -59,22 +67,27 @@ def region_contains(region: Region, z: complex) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSample:
-    """One sampled matrix, represented by its eigenvalue multiset."""
+    """One sampled n x n matrix, represented by its eigenvalue multiset.
+
+    ``eigenvalues`` holds the nonzero eigenvalues (explicit zeros are
+    accepted too) and the other ``n - len(eigenvalues)`` are 0, as in
+    ``Spectra``; ``n`` defaults to ``len(eigenvalues)``.
+    """
 
     eigenvalues: np.ndarray
     weight: float = 1.0
-    n: int = 0
+    n: int | None = None
 
     def __post_init__(self):
         eigs = np.asarray(self.eigenvalues, dtype=complex)
         eigs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigs)
-        if self.n == 0:
+        if self.n is None:
             object.__setattr__(self, "n", len(eigs))
         if not 0 < self.weight <= 1:
             raise ValueError(f"weight must lie in (0, 1], got {self.weight}")
-        if self.n != len(eigs):
-            raise ValueError("n must match the number of eigenvalues")
+        if len(eigs) > self.n:
+            raise ValueError(f"{len(eigs)} eigenvalues exceed n={self.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +126,13 @@ class Spectra:
         object.__setattr__(self, "offsets", offsets)
 
     def sample(self, i: int, weight: float = 1.0) -> SpectrumSample:
-        """Draw i with its zeros appended."""
-        eigs = np.zeros(self.dim, dtype=complex)
-        nonzero = self.values[self.offsets[i] : self.offsets[i + 1]]
-        eigs[: len(nonzero)] = nonzero
-        return SpectrumSample(eigs, weight=weight, n=self.dim)
+        """Draw i, a view of its stored values."""
+        values = self.values[self.offsets[i] : self.offsets[i + 1]]
+        return SpectrumSample(values, weight=weight, n=self.dim)
 
     def region_count(self, region: Region) -> int:
         """Eigenvalues inside the region, summed over all m draws."""
-        inside = int(np.count_nonzero(region.member_mask(self.values)))
-        if region.member_mask(np.zeros(1, dtype=complex))[0]:
-            inside += self.m * self.dim - len(self.values)
-        return inside
+        return region.count(self.values, self.m * self.dim)
 
     def save(self, path) -> None:
         """Write an uncompressed ``.npz``; equal stores give equal bytes."""
@@ -166,7 +174,7 @@ def ein_eout(samples: Iterable[SpectrumSample], region: Region) -> tuple[float, 
             n = s.n
         elif s.n != n:
             raise DimensionMismatchError(f"sample dimension {s.n} != {n}")
-        inside = int(np.count_nonzero(region.member_mask(s.eigenvalues)))
+        inside = region.count(s.eigenvalues, s.n)
         ein_parts.append(s.weight * inside)
         eout_parts.append(s.weight * (s.n - inside))
         weights.append(s.weight)

@@ -134,6 +134,13 @@ def test_bad_schema_version(tmp_path):
         ("model.plants", [{"ell": 2.0, "amplitude": False, "level": 1}]),
         ("out_dir", 5),
         ("out_dir", ""),
+        # json reads NaN and Infinity as floats
+        ("model.fixed_part", [float("nan")]),
+        ("certify.epsilon", float("inf")),
+        ("certify.L", [float("nan")]),
+        ("estimate.theta", float("inf")),
+        ("seed", -1),
+        ("certify.L", [2.0, 2.0 + 1e-10]),
     ],
 )
 def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
@@ -141,6 +148,52 @@ def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", cfg, "--out", out, "--seed", -1) == 2
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, drop, field",
+    [
+        ({"k_max": 6}, ["detect"], "k_max"),
+        ({"n_grid": [400]}, ["fit"], "n_grid"),
+    ],
+)
+def test_analysis_default_that_cannot_fit_exits_2(
+    tmp_path, capsys, overrides, drop, field
+):
+    # run needs neither rule; analyze and certify name the field whose
+    # value the default follows, before they read a store
+    cfg = write_config(tmp_path, overrides=overrides, drop=drop, m=50)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    for command in ("analyze", "certify"):
+        for store in out.glob("spectra_n*.npz"):
+            store.unlink()
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"k_max": 8, "detect.max_bases": 2}, "detect.max_bases"),
+        ({"k_max": 6, "detect": {}}, "k_max"),
+        ({"n_grid": [100, 200], "fit.r": 2}, "fit.r"),
+    ],
+)
+def test_run_checks_the_analysis_rules_of_set_sections(
+    tmp_path, capsys, overrides, field
+):
+    cfg = write_config(tmp_path, overrides=overrides)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_lift_hashimoto_must_be_boolean(tmp_path, capsys):
@@ -357,6 +410,31 @@ def test_lift_run_writes_spectra(tmp_path):
         lines = (out / f"spectra_n{n}.csv").read_text().splitlines()
         assert lines[0] == "sample_id,re,im"
         assert len(lines) == 1 + 2 * 4 * (n - 1)  # m samples, v(n-1) rows each
+
+
+def test_lift_spectra_csv_writes_zeros_after_stored_values(tmp_path, monkeypatch):
+    from sidestep.models import LiftModel
+    from sidestep.spectral import SpectrumSample
+
+    # one explicit zero and five implicit ones per draw of dimension 8
+    monkeypatch.setattr(
+        LiftModel, "sample", lambda self, n, seed: SpectrumSample([1.5, 0, -1j], n=8)
+    )
+    cfg = write_config(
+        tmp_path,
+        overrides={
+            "model": {"kind": "lift", "base_adjacency": K4, "hashimoto": False},
+            "n_grid": [3],
+            "m": 2,
+            "k_max": 2,
+        },
+        drop=["certify", "fit", "detect"],
+    )
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    rows = (out / "spectra_n3.csv").read_text().splitlines()
+    draw = ["1.5,0.0", "-0.0,-1.0"] + ["0.0,0.0"] * 6
+    assert rows == ["sample_id,re,im"] + [f"{i},{z}" for i in (0, 1) for z in draw]
 
 
 def count_draws(monkeypatch, model_cls):

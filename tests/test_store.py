@@ -13,6 +13,7 @@ from sidestep import (
     Spectra,
     SpectrumSample,
     draw_spectra,
+    ein_eout,
     mc_expected_trace,
     region_contains,
     sidestep_params,
@@ -82,9 +83,26 @@ def test_store_keeps_nonzero_values_in_draw_order(draws):
     for i, d in enumerate(draws):
         kept = spectra.values[spectra.offsets[i] : spectra.offsets[i + 1]]
         assert kept.tobytes() == d[d != 0].tobytes()
-        zeros = np.zeros(len(d) - len(kept))
-        padded = spectra.sample(i).eigenvalues
-        assert padded.tobytes() == np.concatenate([kept, zeros]).tobytes()
+        sample = spectra.sample(i)
+        assert sample.eigenvalues.tobytes() == kept.tobytes()
+        assert sample.n == spectra.dim
+        assert np.shares_memory(sample.eigenvalues, spectra.values) or not len(kept)
+
+
+@settings(deadline=None)
+@given(draws=draw_sets(), region=regions)
+@example(draws=[np.array([0, 2.0, 0]), np.zeros(3)], region=Region(None, (0.0,), 0.0))
+@example(draws=[np.array([0, 2.0, 0]), np.zeros(3)], region=Region(0.0))
+@example(draws=[np.array([0, 2.0, 0]), np.zeros(3)], region=Region(None, (2.0,), 0.0))
+def test_ein_eout_counts_implicit_zeros(draws, region):
+    # a store sample keeps only its nonzero values; ein_eout must count its
+    # zeros as if they were written out
+    spectra = draw_spectra(FixedDraws(draws), len(draws[0]), len(draws), seed=0)
+    m = len(draws)
+    stored = [spectra.sample(i, weight=1.0 / m) for i in range(m)]
+    padded = [SpectrumSample(_padded(s), weight=s.weight) for s in stored]
+    got, want = ein_eout(stored, region), ein_eout(padded, region)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @settings(deadline=None)
@@ -160,12 +178,17 @@ def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
+def _padded(s):
+    """The sample's eigenvalues with its implicit zeros written out."""
+    return np.concatenate([s.eigenvalues, np.zeros(s.n - len(s.eigenvalues))])
+
+
 def _reference_region_expectations(model, n, m, seed, regions):
     counts = np.zeros(len(regions))
     for i in range(m):
         s = model.sample(n, sample_seed(seed, n, i))
         for j, region in enumerate(regions):
-            counts[j] += int(np.count_nonzero(region.member_mask(s.eigenvalues)))
+            counts[j] += int(np.count_nonzero(region.member_mask(_padded(s))))
     return [(float(e), float(s.n - e)) for e in counts / m]
 
 

@@ -188,6 +188,9 @@ def test_certify_markov_preconditions():
         certify_markov([s], 2, [2.0], 0.3, 0.5, 5, 1, lambda0=1.0)
     with pytest.raises(PreconditionError):
         certify_markov([s], 2, [1j], 0.3, 0.5, 4, 1, lambda0=1.0)
+    # a conjugate pair would project onto one real point twice
+    with pytest.raises(PreconditionError):
+        certify_markov([s], 2, [1 + 1j, 1 - 1j], 0.3, 0.5, 4, 1, lambda0=1.0)
 
 
 def random_model_samples(rng, count):
