@@ -51,6 +51,7 @@ from .polyexp import BASE_TOL, Polyexponential
 from .shiftops import annihilator
 from .spectral import Spectra
 from .theorem import (
+    D_REF,
     certify_markov,
     certify_real_trace_bound,
     exceptional_params,
@@ -288,14 +289,16 @@ class Experiment:
                 "certify.L",
                 f"entries must be more than {BASE_TOL} apart, got {list(bases)}",
             )
+            theta = None
+            if "theta" in cert:
+                theta = _float(cert["theta"], "certify.theta")
+                _require(theta > 0, "certify.theta", "must be positive")
             self.certify = {
                 "D": d,
                 "L": bases,
                 "epsilon": eps,
                 "alpha": alpha,
-                "theta": (
-                    _float(cert["theta"], "certify.theta") if "theta" in cert else None
-                ),
+                "theta": theta,
             }
 
         self.out_dir = raw.get("out_dir", "out")
@@ -496,10 +499,6 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     if exp.certify is None:
         raise ConfigError("certify section required for the certify command", "certify")
     exp.check_analysis()
-    store = _SpectraFiles(exp, out)
-    tables, _, levels = analyze_levels(
-        store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
-    )
     cert_cfg = exp.certify
     lam0 = exp.model.lambda0
     d = cert_cfg["D"]
@@ -507,71 +506,51 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     eps = cert_cfg["epsilon"]
     alpha = cert_cfg["alpha"]
     params = exceptional_params(lam0, exp.model.lambda1, eps, alpha)
+    span = d * max(1, len(bases))
+    _require(
+        exp.k_max >= span + 2,
+        "certify.D",
+        f"D*max(1, len(L)) = {span} leaves no even k >= 2 in the trace "
+        f"window k=1..{exp.k_max}; need k_max >= {span + 2}",
+    )
+    # verify_exceptional_bound's bound, checked before any store is read
+    theta0 = params.theta0_for(D_REF, max(1, len(bases)))
     theta = cert_cfg["theta"]
     if theta is None:
         theta = params.theta0_for(max(2, d), max(1, len(bases)))
+    _require(
+        theta <= theta0 + 1e-12,
+        "certify.theta",
+        f"must not exceed theta0 = {theta0}, got {theta}",
+    )
+    store = _SpectraFiles(exp, out)
+    tables, _, levels = analyze_levels(
+        store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
+    )
 
-    rows = []
-    failures = []
-
-    # Markov-type filter certificates, one per dimension.
-    for n, table in zip(exp.n_grid, tables):
-        k_target = params.even_k_near(n)
-        k_cap = exp.k_max - d * max(1, len(bases))
-        k = max(2, min(k_target, k_cap - (k_cap % 2)))
-        count = min(exp.m, 200)
+    # Markov-type filter certificates, one per dimension, on the first draws.
+    markov = []
+    k_cap = exp.k_max - span
+    count = min(exp.m, 200)
+    for n in exp.n_grid:
+        k = min(params.even_k_near(n), k_cap - k_cap % 2)
         spectra = store[n]
         samples = [spectra.sample(i, weight=1.0 / count) for i in range(count)]
-        cert = certify_markov(samples, d, bases, theta, eps, k, n, lam0)
-        rows.append(
-            ("markov", n, k, cert.lhs, cert.rhs, cert.slack, cert.passed)
-        )
-        if not cert.passed:
-            failures.append(("markov", n, cert.slack))
-
+        markov.append(certify_markov(samples, d, bases, theta, eps, k, n, lam0))
     # Exceptional-eigenvalue decay across the grid.
     report = verify_exceptional_bound(exp.model, store, params, bases, theta)
-    for row in report.rows:
-        rows.append(
-            (
-                "exceptional",
-                row["n"],
-                0,
-                row["eout"],
-                row["threshold"],
-                row["margin"],
-                row["ok"],
-            )
-        )
-    if not report.passed:
-        worst = report.worst_row()
-        failures.append(("exceptional", worst["n"], worst["margin"]))
-
     # Growth envelope for the annihilated trace sequences.
     envelope = certify_real_trace_bound(
         exp.model, tables, bases, d, exp.fit_r, levels
     )
-    for row in envelope.rows:
-        rows.append(
-            (
-                "real-trace",
-                row["n"],
-                row["k"],
-                row["value"],
-                row["envelope"] + row["floor"],
-                row["slack"],
-                row["passed"],
-            )
-        )
-    if not envelope.passed:
-        failures.append(
-            ("real-trace", envelope.worst["n"], envelope.worst["slack"])
-        )
 
+    rows = [*markov, *report.rows, *envelope.rows]
+    failures = [c for c in markov if not c.passed]
+    failures += [g.worst for g in (report, envelope) if not g.passed]
     _write_csv(
         out / "certificates.csv",
         ["kind", "n", "k", "lhs", "rhs", "slack", "passed"],
-        rows,
+        [(c.kind, c.n, c.k, c.lhs, c.rhs, c.slack, c.passed) for c in rows],
     )
     lines = [f"certificates: {len(rows)} checks, {len(failures)} failing groups"]
     if d >= 1 and bases:
@@ -588,9 +567,9 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
             + ", ".join(str(x) for x in report.flagged[:5])
         )
     if failures:
-        worst = min(failures, key=lambda f: f[2])
+        worst = min(failures, key=lambda c: c.slack)
         lines.append(
-            f"FAIL: worst slack {worst[2]:.6g} ({worst[0]} at n={worst[1]})"
+            f"FAIL: worst slack {worst.slack:.6g} ({worst.kind} at n={worst.n})"
         )
     else:
         lines.append("PASS: all certificates hold")

@@ -76,19 +76,15 @@ class ExceptionalParams:
 
 
 def exceptional_params(
-    lambda0: float,
-    lambda1: float,
-    epsilon: float,
-    alpha: float,
-    d: int = D_REF,
-    n_bases: int = N_BASES_REF,
+    lambda0: float, lambda1: float, epsilon: float, alpha: float
 ) -> ExceptionalParams:
     """Pick kappa, r0, theta0 for the exceptional-eigenvalue decay n**-alpha.
 
     kappa exceeds (alpha+1) / log((lambda0+epsilon)/lambda0) by a 5% margin;
     r0 is one more than the ceiling of alpha + kappa * log(lambda1 /
     (lambda0+epsilon)).  Both strict inequalities are re-checked numerically
-    and their minimum slack, divided by 2 * d * n_bases, realizes theta0.
+    and their minimum slack, divided by 2 * D_REF * N_BASES_REF, realizes
+    theta0.
     """
     if lambda0 <= 0 or epsilon <= 0 or lambda1 <= lambda0 or alpha <= 0:
         raise ParameterError(
@@ -105,7 +101,7 @@ def exceptional_params(
     slack = min(slack_first, slack_second)
     if slack <= 0:
         raise AssertionError("parameter slack must be positive by construction")
-    theta0 = slack / (2.0 * max(1, d) * max(1, n_bases))
+    theta0 = slack / (2.0 * D_REF * N_BASES_REF)
     return ExceptionalParams(
         lambda0, lambda1, epsilon, alpha, kappa, r0, r0_bound, slack, theta0
     )
@@ -140,8 +136,6 @@ def sidestep_params(
     lambda1: float,
     j: int,
     epsilon: float,
-    d: int = D_REF,
-    n_bases: int = N_BASES_REF,
 ) -> SidestepParams:
     """Derive the level-j isolation constants.
 
@@ -162,7 +156,7 @@ def sidestep_params(
     kappa0 = (j + 2.0) / log((lambda0 + 2 * et) / (lambda0 + et))
     alpha_tilde = j + 1.0 + kappa0 * (log(lambda1) - log(lambda0 + 2 * et))
     r_tilde = j + 1 + ceil(kappa0 * (log(lambda1 + et) - log(lambda0 + 2 * et)))
-    inner = exceptional_params(lambda0, lambda1, et, alpha_tilde, d, n_bases)
+    inner = exceptional_params(lambda0, lambda1, et, alpha_tilde)
     r1 = max(r_tilde, inner.r0)
     theta1 = inner.theta0
     params = SidestepParams(
@@ -187,24 +181,22 @@ def sidestep_params(
 
 @dataclass(frozen=True)
 class Certificate:
-    """One checked inequality lhs <= rhs with its context."""
+    """One checked inequality lhs <= rhs: one row of ``certificates.csv``.
 
+    ``passed`` is decided by the routine that made the certificate, each
+    with its own tolerance; ``k`` is 0 for checks that have no trace index.
+    """
+
+    kind: str
+    n: int
+    k: int
     lhs: float
     rhs: float
-    context: dict = field(default_factory=dict)
+    passed: bool
 
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= -1e-9 * max(abs(self.lhs), abs(self.rhs), 1.0)
-
-    def row(self) -> dict:
-        out = {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
-        out.update(self.context)
-        return out
 
 
 def certify_markov(
@@ -225,6 +217,7 @@ def certify_markov(
     bases (|Im| <= 1e-12) this holds sample by sample, so the
     certificate must pass whenever the samples obey the eigenvalue-location
     model (nonreal inside the central disk, real within [-lambda1, lambda1]).
+    It passes when rhs - lhs >= -1e-9 * max(|lhs|, |rhs|, 1).
     """
     if d < 0 or d % 2:
         raise PreconditionError(f"annihilator degree must be even and >= 0, got {d}")
@@ -250,20 +243,9 @@ def certify_markov(
     if abs(rhs_c.imag) > 1e-9 * scale:
         raise PreconditionError(f"rhs has imaginary residue {rhs_c.imag}")
     lhs = float(n) ** (-exponent) * (lambda0 + epsilon) ** k * eout
-    return Certificate(
-        lhs,
-        rhs_c.real,
-        {
-            "kind": "markov",
-            "n": n,
-            "k": k,
-            "d": d,
-            "bases": points,
-            "theta": theta,
-            "epsilon": epsilon,
-            "eout": eout,
-        },
-    )
+    rhs = rhs_c.real
+    passed = rhs - lhs >= -1e-9 * max(abs(lhs), abs(rhs), 1.0)
+    return Certificate("markov", n, k, lhs, rhs, passed)
 
 
 @dataclass(frozen=True)
@@ -272,19 +254,21 @@ class EnvelopeCertificate:
 
     Constants are fitted on the lower half of the k-window and the
     domination is then required on the whole window, so residual terms that
-    outgrow the (lambda0 + delta)**k branch fail at large k.
+    outgrow the (lambda0 + delta)**k branch fail at large k.  Each row is
+    one (n, k) with lhs the annihilated value and rhs the envelope plus its
+    error floor; ``worst`` has the least slack relative to its scale.
     """
 
     a_const: float
     b_const: float
     delta: float
-    rows: tuple[dict, ...]
+    rows: tuple[Certificate, ...]
     d_sufficient: bool
-    worst: dict
+    worst: Certificate
 
     @property
     def passed(self) -> bool:
-        return self.worst["passed"]
+        return self.worst.passed
 
 
 def certify_real_trace_bound(
@@ -348,13 +332,13 @@ def certify_real_trace_bound(
         np.max(np.maximum(value - a_const * u_c - floor, 0.0)[fit] / u_r[fit])
     )
     envelope = a_const * u_c + b_const * u_r
-    slack = envelope + floor - value
+    rhs = envelope + floor
+    slack = rhs - value
     scale = np.maximum(np.maximum(1.0, value), envelope)
     passed = slack >= -1e-9 * scale
-    columns = (n, k, value, envelope, floor, slack, scale, passed)
-    keys = ("n", "k", "value", "envelope", "floor", "slack", "scale", "passed")
     rows = tuple(
-        dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))
+        Certificate("real-trace", *row)
+        for row in zip(*(col.tolist() for col in (n, k, value, rhs, passed)))
     )
     worst = rows[int(np.argmin(slack / scale))]
     return EnvelopeCertificate(a_const, b_const, delta, rows, d_sufficient, worst)
@@ -379,18 +363,13 @@ TREND_TOL = 0.15
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-n record of an expected-count bound check."""
+    """Per-n rows of the exceptional-count bound, its tail verdict and the
+    flagged eigenvalue locations."""
 
-    kind: str
-    rows: tuple[dict, ...]
+    rows: tuple[Certificate, ...]
+    worst: Certificate
     passed: bool
     flagged: tuple[float, ...] = ()
-    context: dict = field(default_factory=dict)
-
-    def worst_row(self) -> dict:
-        bad = [r for r in self.rows if not r.get("ok", True)]
-        pool = bad if bad else list(self.rows)
-        return min(pool, key=lambda r: r.get("margin", 0.0))
 
 
 def verify_exceptional_bound(
@@ -402,13 +381,15 @@ def verify_exceptional_bound(
 ) -> BoundReport:
     """Empirical check of eout <= n**-alpha outside the union region.
 
-    eout is counted over the stored draws of each dimension n.  The
-    precondition theta <= theta0 is enforced with the reference annihilator
-    size for the supplied base count.  The check must hold on the tail
-    (second half) of the dimension grid; when it fails at some n, up to 2000
-    of that n's draws are sampled again from ``model`` to flag the
-    locations of the offending eigenvalues, which point at any base missing
-    from the supplied set.
+    eout is counted over the stored draws of each dimension n; each row has
+    lhs = eout, rhs = n**-alpha and k = 0, and passes when eout <= rhs +
+    1e-12.  The precondition theta <= theta0 is enforced with the reference
+    annihilator size for the supplied base count.  The check must hold on
+    the tail (second half) of the dimension grid; ``worst`` is the failing
+    row with the least slack, or the least-slack row when none fails.  When
+    the check fails at some n, up to 2000 of that n's draws are sampled
+    again from ``model`` to flag the locations of the offending
+    eigenvalues, which point at any base missing from the supplied set.
     """
     theta0 = params.theta0_for(D_REF, max(1, len(bases)))
     if theta > theta0 + 1e-12:
@@ -422,15 +403,7 @@ def verify_exceptional_bound(
         (ein, eout), = region_expectations(spectra, [region])
         threshold = float(n) ** (-params.alpha)
         ok = eout <= threshold + 1e-12
-        rows.append(
-            {
-                "n": int(n),
-                "eout": eout,
-                "threshold": threshold,
-                "ok": ok,
-                "margin": threshold - eout,
-            }
-        )
+        rows.append(Certificate("exceptional", int(n), 0, eout, threshold, ok))
         if not ok:
             for i in range(min(spectra.m, 2000)):
                 eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
@@ -438,21 +411,10 @@ def verify_exceptional_bound(
                 for z in outside:
                     key = round(float(z.real), 2)
                     flagged[key] = flagged.get(key, 0) + 1
-    tail = rows[len(rows) // 2 :]
-    passed = all(r["ok"] for r in tail)
+    passed = all(r.passed for r in rows[len(rows) // 2 :])
+    worst = min([r for r in rows if not r.passed] or rows, key=lambda r: r.slack)
     flags = tuple(sorted(flagged, key=lambda x: -flagged[x]))
-    return BoundReport(
-        "exceptional",
-        tuple(rows),
-        passed,
-        flags,
-        {
-            "alpha": params.alpha,
-            "epsilon": params.epsilon,
-            "theta": theta,
-            "bases": points,
-        },
-    )
+    return BoundReport(tuple(rows), worst, passed, flags)
 
 
 @dataclass(frozen=True)

@@ -429,5 +429,5 @@ def test_criterion_8_negative_controls(tmp_path):
         exit5_ok and flagged and envelope_ok,
         f"exit codes (run={run_code}, certify={cert_code}), base flagged: "
         f"{flagged}; envelope fails below minimal degree with worst slack "
-        f"{weak.worst['slack']:.3g} at k={weak.worst['k']}",
+        f"{weak.worst.slack:.3g} at k={weak.worst.k}",
     )

@@ -141,6 +141,7 @@ def test_bad_schema_version(tmp_path):
         ("estimate.theta", float("inf")),
         ("seed", -1),
         ("certify.L", [2.0, 2.0 + 1e-10]),
+        ("certify.theta", 0),
     ],
 )
 def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
@@ -178,6 +179,27 @@ def test_analysis_default_that_cannot_fit_exits_2(
             store.unlink()
         assert run_cli(command, "--config", cfg, "--out", out) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # D * len(L) = 20 leaves no even Markov k in the window 1..18
+        ({"certify.D": 20}, "certify.D"),
+        # above theta0 for one base, the bound the exceptional check enforces
+        ({"certify.theta": 5.0}, "certify.theta"),
+    ],
+)
+def test_certify_checks_its_section_before_reading_a_store(
+    tmp_path, capsys, overrides, field
+):
+    cfg = write_config(tmp_path, overrides=overrides, m=50)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    for store in out.glob("spectra_n*.npz"):
+        store.unlink()
+    assert run_cli("certify", "--config", cfg, "--out", out) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -370,6 +392,30 @@ def test_certify_missing_base_exits_5(tmp_path):
     assert "FAIL" in text
     assert "worst slack" in text
     assert "2.0" in text  # the flagged missing base
+
+
+def test_certify_rows_share_one_shape(tmp_path):
+    # with D = 0 nothing annihilates the level-1 term, so the real-trace
+    # envelope fails; every row, of every kind, has slack = rhs - lhs
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    raw["m"] = 1000
+    raw["certify"]["D"] = 0
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert run_cli("certify", "--config", cfg, "--out", out) == 5
+    last = (out / "certify.txt").read_text().splitlines()[-1]
+    assert last.startswith("FAIL: worst slack ") and "(real-trace at n=" in last
+    header, *rows = (out / "certificates.csv").read_text().splitlines()
+    assert header == "kind,n,k,lhs,rhs,slack,passed"
+    kinds = set()
+    for row in rows:
+        kind, n, k, lhs, rhs, slack, passed = row.split(",")
+        kinds.add(kind)
+        assert float(slack) == float(rhs) - float(lhs), row
+        assert passed in ("true", "false")
+    assert kinds == {"markov", "exceptional", "real-trace"}
 
 
 def test_report_consolidates(tmp_path):

@@ -229,7 +229,7 @@ def test_certify_markov_randomized_never_fails():
         theta = rng.uniform(0.05, 1.0)
         eps = rng.uniform(0.05, 1.0)
         cert = certify_markov(samples, d, bases, theta, eps, k, n, lambda0=lam0)
-        assert cert.passed, cert.row()
+        assert cert.passed, cert
 
 
 # --- real-trace growth envelope ---------------------------------------------
@@ -265,7 +265,7 @@ def test_real_trace_bound_insufficient_degree_fails():
     cert = certify_real_trace_bound(model, tables, [2.0], 0, 2, levels)
     assert not cert.d_sufficient
     assert not cert.passed
-    assert cert.worst["k"] > 10
+    assert cert.worst.k > 10
 
 
 def test_real_trace_bound_isolation_profile_runs():
@@ -307,7 +307,7 @@ def _envelope_per_row(model, tables, bases, d, r, delta=0.05):
     for n, k, v, f, uc, ur in rows:
         envelope = a * uc + b * ur
         slack, scale = envelope + f - v, max(1.0, v, envelope)
-        out.append((n, k, v, envelope, f, slack, scale, slack >= -1e-9 * scale))
+        out.append((n, k, v, envelope + f, slack, slack >= -1e-9 * scale))
     return a, b, out
 
 
@@ -328,8 +328,8 @@ def test_real_trace_bound_rows_match_per_row_reference(seed):
     cert = certify_real_trace_bound(model, tables, bases, d, 2, [])
     a, b, rows = _envelope_per_row(model, tables, bases, d, 2)
     assert (cert.a_const, cert.b_const) == (a, b)
-    keys = ("n", "k", "value", "envelope", "floor", "slack", "scale", "passed")
-    assert [tuple(row[key] for key in keys) for row in cert.rows] == rows
+    assert [(c.n, c.k, c.lhs, c.rhs, c.slack, c.passed) for c in cert.rows] == rows
+    assert {c.kind for c in cert.rows} == {"real-trace"}
 
 
 # --- verifiers ---------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_verify_exceptional_bound_planted_pass():
         model, draw_stores(model, 2000, seed=3), params, [2.0], params.theta0
     )
     assert report.passed
-    assert all(r["eout"] == 0.0 for r in report.rows)
+    assert all(r.lhs == 0.0 for r in report.rows)
 
 
 def test_verify_exceptional_bound_missing_base_fails():
@@ -362,7 +362,7 @@ def test_verify_exceptional_bound_large_epsilon_swallows_all():
         model, draw_stores(model, 500, seed=5), params, [], params.theta0
     )
     assert report.passed
-    assert all(r["eout"] == 0.0 for r in report.rows)
+    assert all(r.lhs == 0.0 for r in report.rows)
 
 
 def test_verify_exceptional_bound_theta_precondition():
@@ -372,6 +372,32 @@ def test_verify_exceptional_bound_theta_precondition():
         verify_exceptional_bound(
             model, draw_stores(model, 100, seed=0), params, [2.0], params.theta0 * 3
         )
+
+
+class HeadOutlier:
+    """A model whose every draw at n = 10 has one eigenvalue at 3.0 and
+    whose draws at other n have one at 0.5."""
+
+    def sample(self, n, seed):
+        return SpectrumSample(np.array([3.0 if n == 10 else 0.5]), n=n)
+
+
+def test_verify_exceptional_bound_judges_the_tail():
+    # the head row fails, the tail half passes: the group passes, and its
+    # worst row is still the failing head row
+    model = HeadOutlier()
+    stores = {n: draw_spectra(model, n, 4, seed=0) for n in (10, 20, 40)}
+    params = exceptional_params(1.0, 4.0, 0.5, 2.0)
+    report = verify_exceptional_bound(model, stores, params, [], params.theta0)
+    assert [(r.kind, r.n, r.k, r.passed) for r in report.rows] == [
+        ("exceptional", 10, 0, False),
+        ("exceptional", 20, 0, True),
+        ("exceptional", 40, 0, True),
+    ]
+    assert report.passed
+    assert report.worst == report.rows[0]
+    assert (report.worst.lhs, report.worst.rhs) == (1.0, 10.0 ** -2.0)
+    assert report.flagged == (3.0,)
 
 
 def test_verify_sidestep_planted():
@@ -431,8 +457,17 @@ def test_verify_sidestep_lift_smoke():
 
 
 def test_certificate_slack_tolerance():
-    from sidestep import Certificate
+    # a nonreal pair just outside B_1.5(0) puts 2 into eout, so lhs =
+    # 1.5**2 * 2; two real eigenvalues with squares 2.25 * (1 - rel) give
+    # rhs = 4.5 * (1 - rel), equal to lhs at rel = 0
+    pair = 1.5 * (1 + 1e-9) * np.exp(0.5j * np.array([1, -1]))
 
-    assert Certificate(1.0, 1.0).passed
-    assert Certificate(1.0, 1.0 - 1e-12).passed
-    assert not Certificate(1.0, 0.5).passed
+    def cert(real):
+        s = sample([*pair, real, real])
+        return certify_markov([s], 0, [], 0.3, 0.5, 2, 4, lambda0=1.0)
+
+    exact = cert(1.5)
+    assert exact.lhs == exact.rhs == 4.5 and exact.slack == 0.0 and exact.passed
+    assert cert(1.5 * np.sqrt(1 - 1e-13)).passed
+    assert not cert(1.5 * np.sqrt(1 - 1e-8)).passed
+    assert not cert(1.4).passed
