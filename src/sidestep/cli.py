@@ -72,6 +72,13 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(message, field)
 
 
+def _power_is_finite(base: float, k: int) -> bool:
+    try:
+        return math.isfinite(base**k)
+    except OverflowError:
+        return False
+
+
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -523,6 +530,16 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         "certify.theta",
         f"must not exceed theta0 = {theta0}, got {theta}",
     )
+    # the envelope's (lambda1 + 0.05)**k and the Markov (lambda0 + epsilon)**k
+    for field, term, base in (
+        ("model.lambda1", "lambda1 + 0.05", exp.model.lambda1 + 0.05),
+        ("certify.epsilon", "lambda0 + epsilon", lam0 + eps),
+    ):
+        _require(
+            _power_is_finite(base, exp.k_max),
+            field,
+            f"({term}) ** k_max = {base} ** {exp.k_max} overflows a float",
+        )
     store = _SpectraFiles(exp, out)
     tables, _, levels = analyze_levels(
         store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases

@@ -37,6 +37,10 @@ class DimensionMismatchError(SidestepError):
     """Spectrum samples of different dimensions were mixed."""
 
 
+class StreamMismatchError(SidestepError):
+    """A block of draws disagrees with the per-draw reference sampler."""
+
+
 class SpectralRangeError(SidestepError):
     """An eigenvalue lies outside the admissible range for a map."""
 

@@ -19,8 +19,9 @@ Two families:
 
 Sampling is a pure function of (config, n, seed): streams come from a
 counter-based Philox generator keyed by seed and sample/edge indices.
-``draw_spectra`` is the one loop over the draws i = 0..m-1 of a dimension;
-its ``Spectra`` store feeds every statistic, so no draw is made twice.
+``draw_spectra`` draws i = 0..m-1 of a dimension once, planted draws a block
+at a time through a numpy copy of that stream (``sample_uniforms``); its
+``Spectra`` store feeds every statistic, so no draw is made twice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ProbabilityError
+from .errors import DimensionMismatchError, ProbabilityError, StreamMismatchError
 from .spectral import Spectra, SpectrumSample, hashimoto_from_adjacency, sym_eigs
 
 def trace_horizon(n: int) -> int:
@@ -42,9 +43,11 @@ def trace_horizon(n: int) -> int:
 
 def _rng(seed, *key: int) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + key
-        )
+        ss = seed
+        if key:
+            ss = np.random.SeedSequence(
+                entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + key
+            )
     elif isinstance(seed, (tuple, list)):
         ss = np.random.SeedSequence(entropy=tuple(int(s) for s in seed), spawn_key=key)
     else:
@@ -57,10 +60,162 @@ def sample_seed(seed: int, n: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), int(index)))
 
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_U32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_BLOCK = 4096  # draws per kernel call in draw_spectra
+
+
+def _words(x: int) -> list[int]:
+    """x >= 0 as little-endian uint32 words, as SeedSequence splits an int."""
+    out = [x & _U32]
+    while x > _U32:
+        x >>= 32
+        out.append(x & _U32)
+    return out
+
+
+def _philox_keys(seed: int, n: int, index: np.ndarray):
+    """Philox keys of ``sample_seed(seed, n, i)`` for every i in ``index``.
+
+    Column arithmetic over the draws of SeedSequence's entropy assembly,
+    ``mix_entropy`` and ``generate_state(2, uint64)``.  The hash constants
+    evolve independently of the data, so every i with the same number of
+    uint32 words follows one sequence of column operations.
+    """
+    run = _words(int(seed))
+    run += [0] * (_POOL - len(run))  # spawned sequences pad the run entropy
+    cols = [np.full(len(index), w, dtype=np.uint32) for w in run + _words(int(n))]
+    width = len(_words(int(index[-1])))
+    cols += [
+        ((index >> np.uint64(32 * j)) & np.uint64(_U32)).astype(np.uint32)
+        for j in range(width)
+    ]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _U32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    pool = [hashmix(cols[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in cols[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = []
+    const = _INIT_B
+    for word in pool:
+        word = word ^ np.uint32(const)
+        const = (const * _MULT_B) & _U32
+        word = word * np.uint32(const)
+        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    high = np.uint64(32)  # little-endian word pairs make each uint64
+    return state[0] | (state[1] << high), state[2] | (state[3] << high)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of m * x, the high half from 32-bit halves."""
+    low, shift = np.uint64(_U32), np.uint64(32)
+    m0, m1 = np.uint64(m & _U32), np.uint64(m >> 32)
+    x0, x1 = x & low, x >> shift
+    p01, p10 = x0 * m1, x1 * m0
+    carry = ((x0 * m0) >> shift) + (p01 & low) + (p10 & low)
+    high = x1 * m1 + (p01 >> shift) + (p10 >> shift) + (carry >> shift)
+    return high, x * np.uint64(m)
+
+
+def _philox(key0: np.ndarray, key1: np.ndarray, counter: int) -> list[np.ndarray]:
+    """Philox4x64-10 of the counter (counter, 0, 0, 0) under each key."""
+    zero = np.zeros(len(key0), dtype=np.uint64)
+    ctr = [np.full(len(key0), counter, dtype=np.uint64), zero, zero, zero]
+    for r in range(10):
+        if r:
+            key0 = key0 + np.uint64(_PHILOX_W[0])
+            key1 = key1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
+    return ctr
+
+
+def sample_uniforms(seed: int, n: int, start: int, count: int, p: int) -> np.ndarray:
+    """The first p ``random()`` doubles of draws start..start+count-1.
+
+    Row r equals ``Generator(Philox(sample_seed(seed, n, start + r))).random(p)``
+    bit for bit: Philox counts its 4-word output blocks from 1, and each
+    uint64 x maps to ``(x >> 11) * 2**-53``.  Every index of the window
+    must have the same number of uint32 words (no window crosses 2**32).
+    """
+    stop = start + count
+    if start < 0 or count < 1 or stop > 1 << 64:
+        raise ValueError(f"draw window [{start}, {stop}) outside [0, 2**64)")
+    if len(_words(start)) != len(_words(stop - 1)):
+        raise ValueError(f"draw window [{start}, {stop}) crosses a word boundary")
+    index = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    key0, key1 = _philox_keys(seed, n, index)
+    out = np.empty((count, p))
+    for first in range(0, p, 4):
+        outputs = _philox(key0, key1, first // 4 + 1)
+        for j, x in enumerate(outputs[: p - first]):
+            out[:, first + j] = (x >> np.uint64(11)) * (1.0 / 2.0**53)
+    return out
+
+
+def _block_windows(m: int):
+    """(start, count) of the draw blocks: at most _BLOCK draws, and no
+    block crosses a uint32 word boundary of the draw index."""
+    start = 0
+    while start < m:
+        stop = min(m, start + _BLOCK, 1 << 32 * len(_words(start)))
+        yield start, stop - start
+        start = stop
+
+
+def _nonzero(sample: SpectrumSample) -> np.ndarray:
+    eigs = sample.eigenvalues
+    return eigs[eigs != 0]
+
+
 def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
-    """Draw samples i = 0..m-1 of dimension n once and keep their spectra."""
+    """Draw samples i = 0..m-1 of dimension n once and keep their spectra.
+
+    A model with a ``draw_block`` hook draws a block of samples at once;
+    the first draw of every block is re-drawn through ``model.sample`` and
+    must match bit for bit.  Other models are sampled one draw at a time.
+    """
     if m < 1:
         raise ValueError(f"need at least 1 sample, got {m}")
+    if hasattr(model, "draw_block"):
+        parts, sizes = [], [np.zeros(1, dtype=np.int64)]
+        for start, count in _block_windows(m):
+            values, counts = model.draw_block(n, seed, start, count)
+            reference = model.sample(n, sample_seed(seed, n, start))
+            if reference.n != n or not np.array_equal(
+                values[: counts[0]], _nonzero(reference)
+            ):
+                raise StreamMismatchError(
+                    f"block draw differs from model.sample at n={n}, i={start}"
+                )
+            parts.append(values)
+            sizes.append(counts)
+        offsets = np.cumsum(np.concatenate(sizes))
+        return Spectra(n, m, seed, n, np.concatenate(parts), offsets)
     parts = []
     sizes = np.zeros(m + 1, dtype=np.int64)
     dim = None
@@ -70,8 +225,7 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
             dim = sample.n
         elif sample.n != dim:
             raise DimensionMismatchError(f"sample dimension {sample.n} != {dim}")
-        eigs = sample.eigenvalues
-        nonzero = eigs[eigs != 0]
+        nonzero = _nonzero(sample)
         parts.append(nonzero)
         sizes[i + 1] = len(nonzero)
         if len(parts) == 4096:  # bound the count of small arrays alive
@@ -128,18 +282,39 @@ class PlantedConfig:
             raise ValueError("fixed part and plants exceed the smallest dimension")
 
 
-def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
-    """Draw one spectrum: F plus independent Bernoulli plants, zeros elsewhere."""
+def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
     if n < len(cfg.fixed_part) + len(cfg.plants):
         raise ValueError(f"n={n} too small for the configured spectrum")
-    for p in cfg.plants:
-        if p.amplitude / n**p.level > 1:
-            raise ProbabilityError(f"plant probability C/n^j > 1 at n={n}")
+    probs = [p.amplitude / n**p.level for p in cfg.plants]
+    if any(q > 1 for q in probs):
+        raise ProbabilityError(f"plant probability C/n^j > 1 at n={n}")
+    return probs
+
+
+def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
+    """Draw one spectrum: F plus independent Bernoulli plants, zeros elsewhere."""
+    probs = _plant_probabilities(cfg, n)
     eigs = list(cfg.fixed_part)
     if cfg.plants:
         u = _rng(seed).random(len(cfg.plants))
-        eigs += [p.ell for p, x in zip(cfg.plants, u) if x < p.amplitude / n**p.level]
+        eigs += [p.ell for p, x, q in zip(cfg.plants, u, probs) if x < q]
     return SpectrumSample(eigs, n=n)
+
+
+def planted_block(
+    cfg: PlantedConfig, n: int, seed: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws start..start+count-1 exactly as ``planted_sample`` makes them
+    from ``sample_seed(seed, n, i)``: their nonzero eigenvalues in draw
+    order, and how many each draw keeps."""
+    probs = _plant_probabilities(cfg, n)
+    row = np.array([*cfg.fixed_part, *(p.ell for p in cfg.plants)], dtype=complex)
+    fixed = len(cfg.fixed_part)
+    mask = np.empty((count, len(row)), dtype=bool)
+    mask[:, :fixed] = row[:fixed] != 0
+    if cfg.plants:
+        mask[:, fixed:] = sample_uniforms(seed, n, start, count, len(probs)) < probs
+    return np.broadcast_to(row, mask.shape)[mask], np.count_nonzero(mask, axis=1)
 
 
 def planted_exact_trace(cfg: PlantedConfig, n: int, k: int) -> float:
@@ -317,6 +492,9 @@ class PlantedModel(_ModelFacade):
 
     def sample(self, n: int, seed) -> SpectrumSample:
         return planted_sample(self.cfg, n, seed)
+
+    def draw_block(self, n: int, seed: int, start: int, count: int):
+        return planted_block(self.cfg, n, seed, start, count)
 
     def exact_trace(self, n: int, k: int) -> float:
         return planted_exact_trace(self.cfg, n, k)

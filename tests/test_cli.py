@@ -188,6 +188,9 @@ def test_analysis_default_that_cannot_fit_exits_2(
         ({"certify.D": 20}, "certify.D"),
         # above theta0 for one base, the bound the exceptional check enforces
         ({"certify.theta": 5.0}, "certify.theta"),
+        # finite, but (lambda1 + 0.05)**18 and (lambda0 + epsilon)**18 overflow
+        ({"model.lambda1": 1e300}, "model.lambda1"),
+        ({"certify.epsilon": 1e300}, "certify.epsilon"),
     ],
 )
 def test_certify_checks_its_section_before_reading_a_store(
@@ -496,18 +499,47 @@ def count_draws(monkeypatch, model_cls):
 
 
 def test_each_sample_drawn_once_per_pipeline(tmp_path, monkeypatch):
+    from sidestep import models
     from sidestep.models import PlantedModel
 
     # the acceptance criterion 7 config
     cfg = write_config(tmp_path, overrides={"seed": 20250809, "m": 4000})
     out = tmp_path / "out"
     calls = count_draws(monkeypatch, PlantedModel)
+    rows = []
+    block = PlantedModel.draw_block
+
+    def counted_block(self, n, seed, start, count):
+        rows.append(count)
+        return block(self, n, seed, start, count)
+
+    monkeypatch.setattr(PlantedModel, "draw_block", counted_block)
     drawn = {}
     for command in ("run", "analyze", "certify"):
-        before = len(calls)
+        before = len(calls), sum(rows)
         assert run_cli(command, "--config", cfg, "--out", out) == 0
-        drawn[command] = len(calls) - before
-    assert drawn == {"run": 4000 * 3, "analyze": 0, "certify": 0}
+        drawn[command] = (len(calls) - before[0], sum(rows) - before[1])
+    # run draws every sample once in a block, and re-draws the first draw of
+    # each block through sample to check it; analyze and certify draw nothing
+    spot_checks = -(-4000 // models._BLOCK) * 3
+    assert drawn == {"run": (spot_checks, 4000 * 3), "analyze": (0, 0), "certify": (0, 0)}
+
+
+def test_mutated_block_kernel_exits_3_naming_the_draw(tmp_path, monkeypatch, capsys):
+    from sidestep import models
+
+    kernel = models.sample_uniforms
+
+    def flipped(seed, n, start, count, p):
+        u = kernel(seed, n, start, count, p)
+        if n == 200:  # move draw 0's uniform across C/n = 0.025
+            u[0, 0] = 0.0 if u[0, 0] >= 0.025 else 0.5
+        return u
+
+    monkeypatch.setattr(models, "sample_uniforms", flipped)
+    cfg = write_config(tmp_path, overrides={"m": 50})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 3
+    assert "at n=200, i=0" in capsys.readouterr().err
 
 
 K4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]

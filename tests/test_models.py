@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
     LiftConfig,
@@ -16,7 +18,9 @@ from sidestep import (
     sym_eigs,
     trace_horizon,
 )
+from sidestep import models
 from sidestep.errors import ProbabilityError
+from sidestep.models import sample_seed, sample_uniforms
 
 
 def demo_config(n_grid=(100, 200, 400, 800)):
@@ -257,3 +261,50 @@ def test_lift_defaults():
     assert cfg.degree == 3
     assert cfg.lambda0 == pytest.approx(np.sqrt(2))
     assert cfg.lambda1 == pytest.approx(2.0)
+
+
+U32 = 2**32
+# the seed's entropy words: 1, 1, 2, 3 and 5 (longer than the 4-word pool)
+SEEDS = st.one_of(
+    st.sampled_from([0, U32 - 1, U32, 2**64, 2**128 + 7]), st.integers(0, 2**160)
+)
+
+
+@st.composite
+def draw_windows(draw):
+    """(start, count) below 2**32, just under it, or just over it."""
+    low = draw(st.sampled_from([0, U32 - 9, U32]))
+    start = low + draw(st.integers(0, 8))
+    limit = U32 - start if start < U32 else 9
+    return start, draw(st.integers(1, min(9, limit)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=SEEDS,
+    n=st.one_of(st.sampled_from([1, U32 + 1]), st.integers(1, 10**6)),
+    window=draw_windows(),
+    p=st.integers(0, 9),  # crosses the 4-word Philox output block
+)
+@example(seed=2**130 + 1, n=U32 + 1, window=(U32 - 3, 3), p=9)
+@example(seed=0, n=1, window=(U32, 2), p=5)
+def test_sample_uniforms_match_numpy_philox(seed, n, window, p):
+    start, count = window
+    want = [
+        np.random.Generator(np.random.Philox(sample_seed(seed, n, i))).random(p)
+        for i in range(start, start + count)
+    ]
+    got = sample_uniforms(seed, n, start, count, p)
+    assert got.shape == (count, p)
+    assert got.tobytes() == np.array(want).reshape(count, p).tobytes()
+
+
+def test_draw_blocks_never_cross_a_word_boundary(monkeypatch):
+    monkeypatch.setattr(models, "_BLOCK", 3 * 2**30)
+    assert list(models._block_windows(U32 + 10)) == [
+        (0, 3 * 2**30),
+        (3 * 2**30, 2**30),
+        (U32, 10),
+    ]
+    with pytest.raises(ValueError, match="word boundary"):
+        sample_uniforms(0, 1, U32 - 1, 2, 1)

@@ -19,6 +19,8 @@ from sidestep import (
     sidestep_params,
     verify_sidestep,
 )
+from sidestep import models
+from sidestep.errors import StreamMismatchError
 from sidestep.estimation import region_expectations
 from sidestep.models import sample_seed
 
@@ -210,16 +212,84 @@ def test_store_reductions_equal_per_draw_loops():
 
 
 def test_verify_sidestep_draws_each_sample_once(monkeypatch):
-    calls = []
-    original = PlantedModel.sample
+    calls, rows = [], []
+    original, block = PlantedModel.sample, PlantedModel.draw_block
 
     def counted(self, n, seed):
         calls.append(n)
         return original(self, n, seed)
 
+    def counted_block(self, n, seed, start, count):
+        rows.append(count)
+        return block(self, n, seed, start, count)
+
     monkeypatch.setattr(PlantedModel, "sample", counted)
+    monkeypatch.setattr(PlantedModel, "draw_block", counted_block)
     model = demo_model()
     params = sidestep_params(1.0, 4.0, 1, 0.5)
     report = verify_sidestep(model, 1, params, model.n_grid, 4000, seed=7)
     assert len(report.detected) == 1  # so the window counts ran too
-    assert len(calls) == 4000 * len(model.n_grid)
+    # every draw once in a block, plus one reference draw per block
+    assert sum(rows) == 4000 * len(model.n_grid)
+    assert len(calls) == len(rows) == -(-4000 // models._BLOCK) * len(model.n_grid)
+
+
+def _reference_store(model, n, m, seed) -> Spectra:
+    """The per-draw loop: one ``model.sample`` per draw, zeros dropped."""
+    values, sizes = [np.zeros(0, dtype=complex)], [0]
+    for i in range(m):
+        eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
+        values.append(eigs[eigs != 0])
+        sizes.append(len(values[-1]))
+    return Spectra(n, m, seed, n, np.concatenate(values), np.cumsum(sizes))
+
+
+PLANTED_CASES = {
+    "explicit-zero": ((0.5, 0.0, -0.25), (Plant(2.0, 5.0, 1),)),
+    "no-plants": ((0.5, 0.0), ()),
+    # six plants: two 4-word Philox output blocks per draw
+    "six-plants": (
+        (0.5,),
+        (
+            Plant(1.5, 2.0, 1),
+            Plant(-2.0, 5.0, 1),
+            Plant(3.0, 40.0, 2),
+            Plant(-1.25, 10.0, 1),
+            Plant(2.5, 19.0, 1),
+            Plant(3.5, 100.0, 2),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [None, 64, 7])
+@pytest.mark.parametrize("case", sorted(PLANTED_CASES))
+def test_planted_block_store_equals_per_draw_loop(tmp_path, monkeypatch, case, block):
+    if block is not None:  # 300 draws: 4 full blocks of 64 and a partial one
+        monkeypatch.setattr(models, "_BLOCK", block)
+    fixed, plants = PLANTED_CASES[case]
+    model = PlantedModel(PlantedConfig(1.0, 4.0, (20,), fixed, plants))
+    n, m, seed = 20, 300, 2**40 + 3
+    got, want = draw_spectra(model, n, m, seed), _reference_store(model, n, m, seed)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.dim == want.dim == n
+    got.save(tmp_path / "got.npz")
+    want.save(tmp_path / "want.npz")
+    assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+
+
+def test_mutated_kernel_fails_the_block_check(monkeypatch):
+    kernel = models.sample_uniforms
+
+    def flipped(seed, n, start, count, p):
+        u = kernel(seed, n, start, count, p)
+        if start == 128:  # move the uniform across C/n = 1/2 in draw 128
+            u[0, 0] = 0.75 if u[0, 0] < 0.5 else 0.25
+        return u
+
+    monkeypatch.setattr(models, "sample_uniforms", flipped)
+    monkeypatch.setattr(models, "_BLOCK", 64)
+    model = PlantedModel(PlantedConfig(1.0, 4.0, (20,), (0.5,), (Plant(2.0, 10.0, 1),)))
+    with pytest.raises(StreamMismatchError, match=r"n=20, i=128\b"):
+        draw_spectra(model, 20, 300, seed=5)
