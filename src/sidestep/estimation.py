@@ -35,6 +35,10 @@ DETECT_K_MIN = 4
 # which the per-draw power sums are added, hence the bits of the means.
 _CHUNK = 2048
 
+# numpy's complex power raises to an integer exponent |k| < 100 by a
+# multiplication chain, and calls the complex pow of libm beyond.
+_CHAIN_STOP = 100
+
 
 @dataclass(frozen=True, eq=False)
 class TraceTable:
@@ -64,47 +68,83 @@ class TraceTable:
             raise ValueError("ks, means, stderrs must have equal length")
 
 
-def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
-    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, len(ks)).
+def _real_powers(values: np.ndarray, k_max: int) -> np.ndarray:
+    """Re(values**k) for k = 1..k_max, shape (k_max, len(values)).
 
-    One scatter-add over the block's stored values; a draw that keeps no
-    values gets a zero row.
+    The bits are those of numpy's complex power.  When every value is real
+    and k < _CHAIN_STOP, that power is the chain x, x*x, x*(x*x), then binary
+    squaring: x**k = x**(k - t) * x**t for the top bit t of k, and x**t comes
+    from squaring x**(t/2).  The same float64 products give the real part
+    bit for bit, up to the sign of an underflowed zero, which a sum that
+    starts at +0 cannot see.  Complex values, k >= _CHAIN_STOP and chains
+    that overflow go through the complex power itself.
+    """
+    ks = np.arange(1, k_max + 1)
+    if not np.any(values.imag):
+        chain = min(k_max, _CHAIN_STOP - 1)
+        out = np.empty((k_max, len(values)))
+        out[0] = values.real
+        with np.errstate(over="ignore"):  # an overflow falls back below
+            for k in range(2, chain + 1):
+                top = 1 << (k.bit_length() - 1)
+                if k == top:
+                    np.multiply(out[top // 2 - 1], out[top // 2 - 1], out=out[k - 1])
+                else:
+                    np.multiply(out[k - top - 1], out[top - 1], out=out[k - 1])
+        if np.isfinite(out[:chain]).all():
+            out[chain:] = (values ** ks[chain:, None]).real
+            return out
+    return (values ** ks[:, None]).real
+
+
+def _draw_power_sums(spectra: Spectra, lo: int, hi: int, k_max: int) -> np.ndarray:
+    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, k_max).
+
+    One ``bincount`` per k adds each draw's stored values in stored order,
+    from +0; a draw that keeps no values gets a zero row.
     """
     offsets = spectra.offsets[lo : hi + 1]
     owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
-    sums = np.zeros((hi - lo, len(ks)), dtype=complex)
-    np.add.at(sums, owner, spectra.values[offsets[0] : offsets[-1], None] ** ks)
-    return sums.real
+    powers = _real_powers(spectra.values[offsets[0] : offsets[-1]], k_max)
+    sums = np.empty((hi - lo, k_max))
+    for k, row in enumerate(powers):
+        sums[:, k] = np.bincount(owner, weights=row, minlength=hi - lo)
+    return sums
 
 
 def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     """Monte Carlo estimate of the mean power-sum trace for k = 1..k_max.
 
-    Reduces the stored draws in blocks of _CHUNK draws in draw order, so
-    the result is deterministic in (spectra, k_max).  A second pass over
-    the blocks sums the outer products of the deviations from the mean, so
-    a column that is the same in every draw gets a covariance at rounding
-    level, never a negative variance.  No BLAS call is made, so the result does not
-    depend on the BLAS thread count either.
+    Reduces the stored draws in blocks of _CHUNK draws in draw order.  A
+    second pass recomputes each block's power sums and adds the outer
+    products of their deviations from the mean, so a column that is the
+    same in every draw gets a covariance at rounding level, never a
+    negative variance, and no (m x k_max) matrix is held.
+
+    Four things fix the bits of the result for given (spectra, k_max):
+    the _CHUNK-draw blocks, added in draw order; each draw's power sum
+    added in stored order; powers of real values with k < 100 taken by
+    numpy's complex-power multiplication chain (``_real_powers``), which
+    plain float ``x**k`` through libm ``pow`` would not match; and no BLAS
+    call, so the result does not depend on the BLAS thread count either.
     """
     n, m = spectra.n, spectra.m
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
-    ks = np.arange(1, k_max + 1)
     blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     total = np.zeros(k_max)
     for lo, hi in blocks:
-        total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
+        total += _draw_power_sums(spectra, lo, hi, k_max).sum(axis=0)
     means = total / m
     scatter = np.zeros((k_max, k_max))
     for lo, hi in blocks:
-        d = _draw_power_sums(spectra, lo, hi, ks) - means
+        d = _draw_power_sums(spectra, lo, hi, k_max) - means
         scatter += np.einsum("ik,il->kl", d, d)
     cov = scatter / (m - 1) / m
     stderrs = np.sqrt(np.diag(cov))
-    return TraceTable(n, ks, means, stderrs, m, cov)
+    return TraceTable(n, np.arange(1, k_max + 1), means, stderrs, m, cov)
 
 
 def exact_trace_table(model, n: int, k_max: int) -> TraceTable:

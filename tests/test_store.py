@@ -180,6 +180,105 @@ def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
+def _scatter_add_trace(spectra, k_max):
+    """The two-pass ``np.add.at`` reduction that ``mc_expected_trace`` must
+    reproduce byte for byte: complex powers, 2048-draw blocks."""
+    ks = np.arange(1, k_max + 1)
+
+    def block_sums(lo, hi):
+        offsets = spectra.offsets[lo : hi + 1]
+        owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
+        sums = np.zeros((hi - lo, k_max), dtype=complex)
+        np.add.at(sums, owner, spectra.values[offsets[0] : offsets[-1], None] ** ks)
+        return sums.real
+
+    m = spectra.m
+    blocks = [(lo, min(lo + 2048, m)) for lo in range(0, m, 2048)]
+    total = np.zeros(k_max)
+    for lo, hi in blocks:
+        total += block_sums(lo, hi).sum(axis=0)
+    means = total / m
+    scatter = np.zeros((k_max, k_max))
+    for lo, hi in blocks:
+        d = block_sums(lo, hi) - means
+        scatter += np.einsum("ik,il->kl", d, d)
+    cov = scatter / (m - 1) / m
+    return means, cov, np.sqrt(np.diag(cov))
+
+
+def _random_store(seed, n, m, kind, scale=1.0, max_size=3):
+    """m draws of 0..max_size stored values each: real non-dyadic values,
+    complex ones, or blocks of either."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, max_size + 1, m)
+    values = scale * rng.uniform(-1, 1, sizes.sum())
+    if kind == "complex":
+        values = values + 1j * scale * rng.uniform(-1, 1, len(values))
+    elif kind == "mixed":  # one complex value in the second block only
+        values = values.astype(complex)
+        start = int(sizes[:2048].sum())
+        if start < len(values):
+            values[start] += 0.25j
+    values[values == 0] = scale / 3
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return Spectra(n, m, seed, max_size, values, offsets)
+
+
+def _assert_matches_scatter_add(spectra, k_max):
+    table = mc_expected_trace(spectra, k_max)
+    means, cov, stderrs = _scatter_add_trace(spectra, k_max)
+    assert table.means.tobytes() == means.tobytes()
+    assert table.covariance.tobytes() == cov.tobytes()
+    assert table.stderrs.tobytes() == stderrs.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.one_of(st.integers(2, 40), st.sampled_from([2047, 2048, 2049, 4097])),
+    kind=st.sampled_from(["real", "complex", "mixed"]),
+    scale=st.sampled_from([1e-3, 0.9, 2.7]),
+    k_max=st.integers(1, 22),
+)
+def test_trace_reduction_is_bitwise_the_scatter_add(seed, m, kind, scale, k_max):
+    _assert_matches_scatter_add(_random_store(seed, 100, m, kind, scale), k_max)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, scale, k_max",
+    [
+        ("real", 1e200, 4),  # the real chain overflows: complex powers again
+        ("real", 1.05, 108),  # n = 30000 allows k >= 100, past numpy's chain
+        ("complex", 1.05, 108),
+    ],
+)
+def test_trace_reduction_bitwise_at_the_edges(kind, scale, k_max):
+    n = 30000
+    assert models.trace_horizon(n) >= k_max
+    _assert_matches_scatter_add(_random_store(7, n, 2049, kind, scale), k_max)
+
+
+@pytest.mark.parametrize("mutant", ["float pow", "chain through k=100"])
+def test_bitwise_reference_sees_other_power_rules(monkeypatch, mutant):
+    # the bitwise checks above can tell numpy's complex power from libm
+    # pow, and from the squaring chain at k = 100
+    from sidestep import estimation
+
+    if mutant == "float pow":
+        monkeypatch.setattr(
+            estimation,
+            "_real_powers",
+            lambda v, k_max: v.real ** np.arange(1, k_max + 1)[:, None],
+        )
+    else:
+        monkeypatch.setattr(estimation, "_CHAIN_STOP", 101)
+    spectra = _random_store(7, 30000, 2049, "real", 1.05)
+    table = mc_expected_trace(spectra, 108)
+    assert table.means.tobytes() != _scatter_add_trace(spectra, 108)[0].tobytes()
+
+
 def _padded(s):
     """The sample's eigenvalues with its implicit zeros written out."""
     return np.concatenate([s.eigenvalues, np.zeros(s.n - len(s.eigenvalues))])
