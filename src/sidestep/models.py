@@ -197,7 +197,8 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
 
     A model with a ``draw_block`` hook draws a block of samples at once;
     the first draw of every block is re-drawn through ``model.sample`` and
-    must match bit for bit.  Other models are sampled one draw at a time.
+    must match bit for bit (``planted_block`` also checks that draw's raw
+    uniforms).  Other models are sampled one draw at a time.
     """
     if m < 1:
         raise ValueError(f"need at least 1 sample, got {m}")
@@ -306,14 +307,24 @@ def planted_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draws start..start+count-1 exactly as ``planted_sample`` makes them
     from ``sample_seed(seed, n, i)``: their nonzero eigenvalues in draw
-    order, and how many each draw keeps."""
+    order, and how many each draw keeps.
+
+    The raw uniforms of draw ``start`` must equal those of its per-draw
+    generator bit for bit, or StreamMismatchError names n and i.
+    """
     probs = _plant_probabilities(cfg, n)
     row = np.array([*cfg.fixed_part, *(p.ell for p in cfg.plants)], dtype=complex)
     fixed = len(cfg.fixed_part)
     mask = np.empty((count, len(row)), dtype=bool)
     mask[:, :fixed] = row[:fixed] != 0
     if cfg.plants:
-        mask[:, fixed:] = sample_uniforms(seed, n, start, count, len(probs)) < probs
+        u = sample_uniforms(seed, n, start, count, len(probs))
+        want = _rng(sample_seed(seed, n, start)).random(len(probs))
+        if u[0].tobytes() != want.tobytes():
+            raise StreamMismatchError(
+                f"block uniforms differ from the per-draw stream at n={n}, i={start}"
+            )
+        mask[:, fixed:] = u < probs
     return np.broadcast_to(row, mask.shape)[mask], np.count_nonzero(mask, axis=1)
 
 

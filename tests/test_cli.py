@@ -542,6 +542,28 @@ def test_mutated_block_kernel_exits_3_naming_the_draw(tmp_path, monkeypatch, cap
     assert "at n=200, i=0" in capsys.readouterr().err
 
 
+def test_carryless_mulhi_kernel_exits_3_on_the_first_block(tmp_path, monkeypatch, capsys):
+    # a Philox kernel that drops the carry of its 64-bit high product keeps
+    # almost every plant decision of the demo's first block, so only the
+    # raw uniforms of draw 0 show the fault
+    from sidestep import models
+
+    def carryless(m, x):
+        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+        m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+        x0, x1 = x & low, x >> shift
+        p01, p10 = x0 * m1, x1 * m0
+        high = x1 * m1 + (p01 >> shift) + (p10 >> shift)
+        return high, x * np.uint64(m)
+
+    monkeypatch.setattr(models, "_mulhilo", carryless)
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps(dict(raw, m=8000)))
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 3
+    assert "at n=100, i=0" in capsys.readouterr().err
+
+
 K4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 
