@@ -36,7 +36,7 @@ DETECT_K_MIN = 4
 _CHUNK = 2048
 
 # numpy's complex power raises to an integer exponent |k| < 100 by a
-# multiplication chain, and calls the complex pow of libm beyond.
+# multiplication chain, and by a general complex pow beyond.
 _CHAIN_STOP = 100
 
 
@@ -68,8 +68,8 @@ class TraceTable:
             raise ValueError("ks, means, stderrs must have equal length")
 
 
-def _real_powers(values: np.ndarray, k_max: int) -> np.ndarray:
-    """Re(values**k) for k = 1..k_max, shape (k_max, len(values)).
+def _real_powers(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Re(values**k) for ks = 1..k_max, shape (k_max, len(values)).
 
     The bits are those of numpy's complex power.  When every value is real
     and k < _CHAIN_STOP, that power is the chain x, x*x, x*(x*x), then binary
@@ -79,10 +79,9 @@ def _real_powers(values: np.ndarray, k_max: int) -> np.ndarray:
     starts at +0 cannot see.  Complex values, k >= _CHAIN_STOP and chains
     that overflow go through the complex power itself.
     """
-    ks = np.arange(1, k_max + 1)
     if not np.any(values.imag):
-        chain = min(k_max, _CHAIN_STOP - 1)
-        out = np.empty((k_max, len(values)))
+        chain = min(len(ks), _CHAIN_STOP - 1)
+        out = np.empty((len(ks), len(values)))
         out[0] = values.real
         with np.errstate(over="ignore"):  # an overflow falls back below
             for k in range(2, chain + 1):
@@ -97,16 +96,16 @@ def _real_powers(values: np.ndarray, k_max: int) -> np.ndarray:
     return (values ** ks[:, None]).real
 
 
-def _draw_power_sums(spectra: Spectra, lo: int, hi: int, k_max: int) -> np.ndarray:
-    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, k_max).
+def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
+    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, len(ks)).
 
     One ``bincount`` per k adds each draw's stored values in stored order,
     from +0; a draw that keeps no values gets a zero row.
     """
     offsets = spectra.offsets[lo : hi + 1]
     owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
-    powers = _real_powers(spectra.values[offsets[0] : offsets[-1]], k_max)
-    sums = np.empty((hi - lo, k_max))
+    powers = _real_powers(spectra.values[offsets[0] : offsets[-1]], ks)
+    sums = np.empty((hi - lo, len(ks)))
     for k, row in enumerate(powers):
         sums[:, k] = np.bincount(owner, weights=row, minlength=hi - lo)
     return sums
@@ -133,18 +132,19 @@ def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
         raise ValueError(f"need at least 2 samples, got {m}")
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
+    ks = np.arange(1, k_max + 1)
     blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     total = np.zeros(k_max)
     for lo, hi in blocks:
-        total += _draw_power_sums(spectra, lo, hi, k_max).sum(axis=0)
+        total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
     means = total / m
     scatter = np.zeros((k_max, k_max))
     for lo, hi in blocks:
-        d = _draw_power_sums(spectra, lo, hi, k_max) - means
+        d = _draw_power_sums(spectra, lo, hi, ks) - means
         scatter += np.einsum("ik,il->kl", d, d)
     cov = scatter / (m - 1) / m
     stderrs = np.sqrt(np.diag(cov))
-    return TraceTable(n, np.arange(1, k_max + 1), means, stderrs, m, cov)
+    return TraceTable(n, ks, means, stderrs, m, cov)
 
 
 def exact_trace_table(model, n: int, k_max: int) -> TraceTable:

@@ -270,7 +270,7 @@ def test_bitwise_reference_sees_other_power_rules(monkeypatch, mutant):
         monkeypatch.setattr(
             estimation,
             "_real_powers",
-            lambda v, k_max: v.real ** np.arange(1, k_max + 1)[:, None],
+            lambda values, ks: values.real ** ks[:, None],
         )
     else:
         monkeypatch.setattr(estimation, "_CHAIN_STOP", 101)
