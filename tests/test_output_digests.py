@@ -80,6 +80,7 @@ def test_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     build = (f"pinned with numpy {pinned['numpy']} on {pinned['platform']}; "
              f"this is numpy {np.__version__} on {platform.platform()}")
+    assert sorted(pinned["cases"]) == sorted(CASES)
     problems = []
     for name, want in pinned["cases"].items():
         got = run_case(name, tmp_path / name)
@@ -91,7 +92,6 @@ def test_outputs_match_pinned_digests(tmp_path):
             for file in sorted(set(w["files"]) | set(g["files"])):
                 if g["files"].get(file) != w["files"].get(file):
                     problems.append(f"{where}: {file} differs")
-    assert sorted(pinned["cases"]) == sorted(CASES)
     assert not problems, build + "\n" + "\n".join(problems)
 
 
