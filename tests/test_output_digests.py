@@ -1,4 +1,4 @@
-"""Pinned output bytes: four CLI pipelines must write the files recorded in
+"""Pinned output bytes: five CLI pipelines must write the files recorded in
 ``tests/data/output_digests.json``, with the recorded exit codes.
 
 Each command runs in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1``.
@@ -43,6 +43,20 @@ def _config(name, **changes):
 CASES = {
     "demo-m2000": (_config("demo.json", m=2000), ALL),
     "demo-m2000-no-L": (_config("demo.json", m=2000, **{"certify.L": []}), ("run", "certify")),
+    # non-dyadic fixed part and plant: their powers differ in the last bit
+    # between numpy's complex-power chain and libm pow
+    "demo-m2000-nondyadic": (
+        _config(
+            "demo.json",
+            m=2000,
+            **{
+                "model.fixed_part": [0.3, -0.7],
+                "model.plants": [{"ell": 2.3, "amplitude": 5.0, "level": 1}],
+                "certify.L": [2.3],
+            },
+        ),
+        ALL,
+    ),
     "lift-demo": (_config("lift_demo.json"), ("run", "analyze", "report")),
     "lift-demo-certify": (
         _config("lift_demo.json", certify={"D": 2, "L": [2.0], "epsilon": 0.3}),
