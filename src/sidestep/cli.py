@@ -222,7 +222,7 @@ class Experiment:
             else:
                 _check_keys(
                     model,
-                    {"kind", "base_adjacency", "hashimoto", "lambda0", "lambda1"},
+                    {"kind", "base_adjacency", "hashimoto"},
                     "model",
                 )
                 _require(
@@ -240,8 +240,6 @@ class Experiment:
                     _adjacency(model["base_adjacency"], "model.base_adjacency"),
                     self.n_grid,
                     hashimoto,
-                    _float(model.get("lambda0", 0.0), "model.lambda0"),
-                    _float(model.get("lambda1", 0.0), "model.lambda1"),
                 )
                 self.model = LiftModel(cfg)
         except ConfigError:

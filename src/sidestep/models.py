@@ -372,8 +372,9 @@ class LiftConfig:
     base_adjacency: np.ndarray
     n_grid: tuple[int, ...]
     hashimoto: bool = True
-    lambda0: float = 0.0
-    lambda1: float = 0.0
+    # derived from the degree: the new spectrum's central radius and bound
+    lambda0: float = field(init=False, default=0.0)
+    lambda1: float = field(init=False, default=0.0)
     degree: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -388,16 +389,9 @@ class LiftConfig:
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        if self.lambda0 == 0.0:
-            object.__setattr__(
-                self,
-                "lambda0",
-                float(np.sqrt(d - 1)) if self.hashimoto else 2.0 * float(np.sqrt(d - 1)),
-            )
-        if self.lambda1 == 0.0:
-            object.__setattr__(
-                self, "lambda1", float(d - 1) if self.hashimoto else float(d)
-            )
+        root = float(np.sqrt(d - 1))
+        object.__setattr__(self, "lambda0", root if self.hashimoto else 2.0 * root)
+        object.__setattr__(self, "lambda1", float(d - 1 if self.hashimoto else d))
         if not 0 < self.lambda0 < self.lambda1:
             raise ValueError("need 0 < lambda0 < lambda1")
 
@@ -443,6 +437,10 @@ def lift_sample(cfg: LiftConfig, n: int, seed) -> SpectrumSample:
     return SpectrumSample(eigs)
 
 
+# Absolute slack of model_validate's admissible set.
+VALIDATE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking sampled eigenvalues against the admissible set."""
@@ -457,11 +455,10 @@ class ValidationReport:
         return self.n_violations == 0
 
 
-def model_validate(
-    cfg, samples: Sequence[SpectrumSample], tol: float = 1e-8
-) -> ValidationReport:
-    """Check every sampled eigenvalue lies in B_{lambda0}(0) or [-lambda1, lambda1]."""
-    lam0, lam1 = cfg.lambda0, cfg.lambda1
+def model_validate(cfg, samples: Sequence[SpectrumSample]) -> ValidationReport:
+    """Check every sampled eigenvalue lies in B_{lambda0}(0) or [-lambda1, lambda1],
+    within VALIDATE_TOL."""
+    lam0, lam1, tol = cfg.lambda0, cfg.lambda1, VALIDATE_TOL
     total = 0
     bad = 0
     examples: list[tuple[int, complex]] = []

@@ -215,10 +215,8 @@ class GrowthEstimate:
             raise ValueError("rate must be nonnegative")
 
 
-def growth_rate(
-    seq: Sequence[complex], tail_fraction: float = 0.5, k_start: int = 1
-) -> GrowthEstimate:
-    """Estimate the growth rate of ``seq``, indexed f(k_start), f(k_start+1), ...
+def growth_rate(seq: Sequence[complex], tail_fraction: float = 0.5) -> GrowthEstimate:
+    """Estimate the growth rate of ``seq``, indexed f(1), f(2), ...
 
     Uses the last ``ceil(tail_fraction * len)`` entries; zero entries
     contribute 0.
@@ -231,7 +229,7 @@ def growth_rate(
     count = int(np.ceil(tail_fraction * len(values)))
     if count < 1:
         raise EmptyTailError("tail window selected no indices")
-    ks = np.arange(k_start, k_start + len(values))[-count:]
+    ks = np.arange(1, len(values) + 1)[-count:]
     tail = np.abs(values[-count:])
     rates = np.where(tail > 0, tail ** (1.0 / ks), 0.0)
     return GrowthEstimate(float(np.max(rates)), range(int(ks[0]), int(ks[-1]) + 1))

@@ -201,14 +201,11 @@ def mean_real_trace(
     return acc
 
 
-def sym_eigs(
-    a: np.ndarray, want_vectors: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def sym_eigs(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
-    LAPACK's symmetric solver (``np.linalg.eigvalsh`` / ``eigh``) on the
-    symmetrized input.  With ``want_vectors`` also returns the orthogonal
-    eigenvector matrix (columns match the sorted eigenvalues).
+    LAPACK's symmetric solver (``np.linalg.eigvalsh``) on the symmetrized
+    input.
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -216,10 +213,7 @@ def sym_eigs(
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-9 * scale:
         raise NonSymmetricError("matrix is not symmetric within 1e-9")
-    A = (A + A.T) / 2.0
-    if want_vectors:
-        return np.linalg.eigh(A)
-    return np.linalg.eigvalsh(A)
+    return np.linalg.eigvalsh((A + A.T) / 2.0)
 
 
 def hashimoto_from_adjacency(mus: Sequence[float], d: int) -> np.ndarray:

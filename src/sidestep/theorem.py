@@ -37,7 +37,7 @@ from .estimation import (
     region_expectations,
 )
 from .shiftops import ShiftPolynomial, annihilator, sp_apply_seq
-from .models import draw_spectra, sample_seed
+from .models import sample_seed
 from .spectral import Region, Spectra, SpectrumSample, ein_eout, mean_real_trace
 
 # Multiplicative headroom on the strict-inequality choice of kappa.
@@ -47,6 +47,12 @@ KAPPA_MARGIN = 0.05
 # concrete theta0 when none is supplied at certification time.
 D_REF = 2
 N_BASES_REF = 1
+
+# Headroom delta of both envelope branches, (lambda + delta)**k.
+ENVELOPE_DELTA = 0.05
+
+# Relative gap verify_sidestep allows between an amplitude and its count.
+AMPLITUDE_MATCH_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,6 @@ class EnvelopeCertificate:
 
     a_const: float
     b_const: float
-    delta: float
     rows: tuple[Certificate, ...]
     d_sufficient: bool
     worst: Certificate
@@ -278,10 +283,10 @@ def certify_real_trace_bound(
     d: int,
     r: int,
     levels: Sequence[Sequence[DetectedBase]],
-    delta: float = 0.05,
 ) -> EnvelopeCertificate:
     """Check |Ann(S) applied to the mean traces| against the two-branch
-    envelope A*(lambda0+delta)**k * n + B*(lambda1+delta)**k * n**-r.
+    envelope A*(lambda0+delta)**k * n + B*(lambda1+delta)**k * n**-r, with
+    delta = ENVELOPE_DELTA.
 
     The nonreal part of the trace is itself of central growth, so full-trace
     tables are a sound stand-in for the real-eigenvalue trace here.  The
@@ -321,8 +326,8 @@ def certify_real_trace_bound(
             ks,
             value,
             1e-12 * mag_in + 5.0 * se_in,
-            [(lam0 + delta) ** k * t.n for k in ks],
-            [(lam1 + delta) ** k * float(t.n) ** (-r) for k in ks],
+            [(lam0 + ENVELOPE_DELTA) ** k * t.n for k in ks],
+            [(lam1 + ENVELOPE_DELTA) ** k * float(t.n) ** (-r) for k in ks],
         ))
     n, k, value, floor, u_c, u_r = (np.concatenate(col) for col in zip(*parts))
     k_values = sorted(set(k.tolist()))
@@ -341,7 +346,7 @@ def certify_real_trace_bound(
         for row in zip(*(col.tolist() for col in (n, k, value, rhs, passed)))
     )
     worst = rows[int(np.argmin(slack / scale))]
-    return EnvelopeCertificate(a_const, b_const, delta, rows, d_sufficient, worst)
+    return EnvelopeCertificate(a_const, b_const, rows, d_sufficient, worst)
 
 
 def _trend_slope(ns: Sequence[int], values: Sequence[float]) -> Optional[float]:
@@ -432,63 +437,53 @@ class SidestepReport:
 
 
 def verify_sidestep(
-    model,
+    stores: Mapping[int, Spectra],
     j: int,
     params: SidestepParams,
-    n_grid: Sequence[int],
-    m: int,
-    seed: int,
     k_max: int = 20,
     theta: float = 0.3,
     max_bases: int = 4,
-    amplitude_match_tol: float = 0.25,
 ) -> SidestepReport:
-    """Replay the level-j picture on sampled data.
+    """Replay the level-j picture on the stored draws of each dimension.
 
     Fits the expansion to order j+2, detects the level-j bases, then checks
     (a) the n**j-scaled eout of the union region trends to zero across the
     grid and (b) the n**j-scaled window count near each base agrees with the
-    detected amplitude within ``amplitude_match_tol``.  Each (n, i) sample
-    is drawn once.  At desk scale theta defaults to 0.3 for window
-    isolation; whether theta <= theta1 is recorded in the context rather
-    than enforced.
+    detected amplitude within AMPLITUDE_MATCH_TOL.  lambda0 and lambda1
+    come from ``params``; nothing is drawn.  At desk scale theta defaults
+    to 0.3 for window isolation; whether theta <= theta1 is recorded in the
+    context rather than enforced, with the m of the smallest-n store.
     """
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(stores)
     # one remainder level beyond j when the grid affords it
     r = j + 2 if len(n_grid) >= j + 3 else j + 1
     if len(n_grid) < r + 1:
         raise ValueError(f"need at least {r + 1} grid points for level {j}")
-    # one set of draws per n feeds the tables, the eout rows and the counts
-    stores = {n: draw_spectra(model, n, m, seed) for n in n_grid}
     _, _, levels = analyze_levels(
-        stores, k_max, r, model.lambda0, model.lambda1, max_bases
+        stores, k_max, r, params.lambda0, params.lambda1, max_bases
     )
     detected = tuple(levels[j])
     points = tuple(d.ell for d in detected)
     rows = []
-    scaled = []
     for n in n_grid:
         region = Region(
-            model.lambda0 + params.epsilon, points, float(n) ** (-theta)
+            params.lambda0 + params.epsilon, points, float(n) ** (-theta)
         )
         (ein, eout), = region_expectations(stores[n], [region])
         rows.append({"n": n, "eout": eout, "scaled_eout": eout * n**j})
-        scaled.append(eout * n**j)
-    slope = _trend_slope(n_grid, scaled)
+    slope = _trend_slope(n_grid, [row["scaled_eout"] for row in rows])
     eout_ok = (slope is None) or (slope <= TREND_TOL)
-    c_estimates = []
-    amp_ok = True
-    for det in detected:
-        ce = estimate_C_ell(stores, det.ell, j, theta)
-        c_estimates.append(ce)
-        ref = max(abs(ce.extrapolated), abs(det.amplitude), 1e-12)
-        if abs(ce.extrapolated - det.amplitude) > amplitude_match_tol * ref:
-            amp_ok = False
+    c_estimates = tuple(estimate_C_ell(stores, d.ell, j, theta) for d in detected)
+    amp_ok = not any(
+        abs(ce.extrapolated - d.amplitude)
+        > AMPLITUDE_MATCH_TOL * max(abs(ce.extrapolated), abs(d.amplitude), 1e-12)
+        for ce, d in zip(c_estimates, detected)
+    )
     passed = eout_ok and amp_ok
     return SidestepReport(
         j,
         detected,
-        tuple(c_estimates),
+        c_estimates,
         tuple(rows),
         slope,
         passed,
@@ -497,7 +492,7 @@ def verify_sidestep(
             "theta1": params.theta1,
             "theta_within_theory": theta <= params.theta1,
             "epsilon": params.epsilon,
-            "m": m,
+            "m": stores[n_grid[0]].m,
             "k_max": k_max,
         },
     )

@@ -229,6 +229,16 @@ def test_lift_hashimoto_must_be_boolean(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field", ["lambda0", "lambda1"])
+def test_lift_radii_cannot_be_set(tmp_path, capsys, field):
+    # lift lambda0 and lambda1 follow from the degree and hashimoto
+    model = {"kind": "lift", "base_adjacency": K4, field: 1.5}
+    cfg = write_config(tmp_path, overrides={"model": model, "n_grid": [3, 5]})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"config error: model: unknown field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("entry", [1.9, True, "1"])
 def test_lift_adjacency_entries_must_be_integers(tmp_path, capsys, entry):
     # a valid lift config but for one entry, which would be cast to 1

@@ -1,5 +1,7 @@
 """Spectrum store: one draw per sample, exact region counts, exact reuse."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from sidestep import (
     verify_sidestep,
 )
 from sidestep import models
+from sidestep.cli import main
 from sidestep.errors import StreamMismatchError
 from sidestep.estimation import region_expectations
 from sidestep.models import sample_seed
@@ -310,27 +313,43 @@ def test_store_reductions_equal_per_draw_loops():
     assert region_expectations(spectra, regs) == want
 
 
-def test_verify_sidestep_draws_each_sample_once(monkeypatch):
-    calls, rows = [], []
-    original, block = PlantedModel.sample, PlantedModel.draw_block
-
-    def counted(self, n, seed):
-        calls.append(n)
-        return original(self, n, seed)
-
-    def counted_block(self, n, seed, start, count):
-        rows.append(count)
-        return block(self, n, seed, start, count)
-
-    monkeypatch.setattr(PlantedModel, "sample", counted)
-    monkeypatch.setattr(PlantedModel, "draw_block", counted_block)
+def test_verify_sidestep_makes_no_draw(monkeypatch):
     model = demo_model()
-    params = sidestep_params(1.0, 4.0, 1, 0.5)
-    report = verify_sidestep(model, 1, params, model.n_grid, 4000, seed=7)
+    stores = {n: draw_spectra(model, n, 4000, seed=7) for n in model.n_grid}
+
+    def no_draw(*args):
+        raise AssertionError("verify_sidestep drew a sample")
+
+    monkeypatch.setattr(PlantedModel, "sample", no_draw)
+    monkeypatch.setattr(PlantedModel, "draw_block", no_draw)
+    report = verify_sidestep(stores, 1, sidestep_params(1.0, 4.0, 1, 0.5))
     assert len(report.detected) == 1  # so the window counts ran too
-    # every draw once in a block, plus one reference draw per block
-    assert sum(rows) == 4000 * len(model.n_grid)
-    assert len(calls) == len(rows) == -(-4000 // models._BLOCK) * len(model.n_grid)
+    assert report.passed and report.context["m"] == 4000
+
+
+def test_verify_sidestep_reads_the_run_stores(tmp_path):
+    # the stores `sidestep run` writes give the report that stores drawn
+    # in memory with the same seed give
+    model = demo_model()
+    raw = {
+        "schema": "sidestep-config/1",
+        "seed": 7,
+        "model": {"kind": "planted", "lambda0": 1.0, "lambda1": 4.0,
+                  "fixed_part": [0.5],
+                  "plants": [{"ell": 2.0, "amplitude": 5.0, "level": 1}]},
+        "n_grid": list(model.n_grid),
+        "m": 4000,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    params = sidestep_params(1.0, 4.0, 1, 0.5)
+    loaded = {n: Spectra.load(out / f"spectra_n{n}.npz") for n in model.n_grid}
+    drawn = {n: draw_spectra(model, n, 4000, seed=7) for n in model.n_grid}
+    report = verify_sidestep(loaded, 1, params)
+    assert len(report.detected) == 1
+    assert report == verify_sidestep(drawn, 1, params)
 
 
 def _reference_store(model, n, m, seed) -> Spectra:

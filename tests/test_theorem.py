@@ -403,7 +403,7 @@ def test_verify_exceptional_bound_judges_the_tail():
 def test_verify_sidestep_planted():
     model = demo_model((100, 200, 400))
     params = sidestep_params(1.0, 4.0, 1, 0.5)
-    report = verify_sidestep(model, 1, params, model.n_grid, 4000, seed=7)
+    report = verify_sidestep(draw_stores(model, 4000, seed=7), 1, params)
     assert report.passed
     assert len(report.detected) == 1
     assert report.detected[0].ell == pytest.approx(2.0, abs=0.01)
@@ -421,7 +421,7 @@ def test_verify_sidestep_two_plants():
     )
     model = PlantedModel(cfg)
     params = sidestep_params(1.0, 4.0, 1, 0.5)
-    report = verify_sidestep(model, 1, params, model.n_grid, 30_000, seed=11)
+    report = verify_sidestep(draw_stores(model, 30_000, seed=11), 1, params)
     assert report.passed
     assert sorted(d.ell for d in report.detected) == pytest.approx(
         [-3.0, 2.0], abs=0.02
@@ -435,7 +435,7 @@ def test_verify_sidestep_no_plants_decay():
     cfg = PlantedConfig(1.0, 4.0, (100, 200, 400), (0.5,))
     model = PlantedModel(cfg)
     params = sidestep_params(1.0, 4.0, 1, 0.5)
-    report = verify_sidestep(model, 1, params, model.n_grid, 2000, seed=13)
+    report = verify_sidestep(draw_stores(model, 2000, seed=13), 1, params)
     assert report.passed
     assert report.detected == ()
     assert all(r["scaled_eout"] == 0.0 for r in report.rows)
@@ -450,7 +450,7 @@ def test_verify_sidestep_lift_smoke():
     model = LiftModel(cfg)
     params = sidestep_params(model.lambda0, model.lambda1, 1, 0.3)
     report = verify_sidestep(
-        model, 1, params, cfg.n_grid, 6, seed=3, k_max=8, max_bases=1
+        draw_stores(model, 6, seed=3), 1, params, k_max=8, max_bases=1
     )
     assert len(report.rows) == 3
     assert report.j == 1
