@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError, WindowTooShortError
+from .errors import IllConditionedError, SidestepError, WindowTooShortError
 from .models import trace_horizon
 from .spectral import Region, Spectra
 
@@ -118,7 +118,9 @@ def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     second pass recomputes each block's power sums and adds the outer
     products of their deviations from the mean, so a column that is the
     same in every draw gets a covariance at rounding level, never a
-    negative variance, and no (m x k_max) matrix is held.
+    negative variance, and no (m x k_max) matrix is held.  Power sums that
+    overflow raise SidestepError naming n and the first k whose mean or
+    stderr is not finite.
 
     Four things fix the bits of the result for given (spectra, k_max):
     the _CHUNK-draw blocks, added in draw order; each draw's power sum
@@ -135,15 +137,23 @@ def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     ks = np.arange(1, k_max + 1)
     blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
     total = np.zeros(k_max)
-    for lo, hi in blocks:
-        total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
-    means = total / m
     scatter = np.zeros((k_max, k_max))
-    for lo, hi in blocks:
-        d = _draw_power_sums(spectra, lo, hi, ks) - means
-        scatter += np.einsum("ik,il->kl", d, d)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
+        for lo, hi in blocks:
+            total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
+        means = total / m
+        for lo, hi in blocks:
+            d = _draw_power_sums(spectra, lo, hi, ks) - means
+            scatter += np.einsum("ik,il->kl", d, d)
     cov = scatter / (m - 1) / m
     stderrs = np.sqrt(np.diag(cov))
+    bad = ~(np.isfinite(means) & np.isfinite(stderrs))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SidestepError(
+            f"trace table at n={n} is not finite at k={ks[k]} (mean {means[k]:.6g}, "
+            f"stderr {stderrs[k]:.6g}): the power sums overflow a float"
+        )
     return TraceTable(n, ks, means, stderrs, m, cov)
 
 

@@ -206,6 +206,46 @@ def test_certify_checks_its_section_before_reading_a_store(
 
 
 @pytest.mark.parametrize(
+    "lambda1, ell, k, certify_exit",
+    [
+        # the stderr overflows from k = 2 and the mean from k = 4; certify
+        # exits 2 first, since (lambda1 + 0.05) ** k_max overflows too
+        (1e101, 1e100, 2, 2),
+        # only the covariance overflows, from k = 10, and certify reduces
+        (1e17, 1e17, 10, 3),
+    ],
+)
+def test_non_finite_trace_tables_exit_3(
+    tmp_path, capsys, lambda1, ell, k, certify_exit
+):
+    from sidestep import Spectra, draw_spectra, sidestep_params, verify_sidestep
+    from sidestep.cli import load_experiment
+    from sidestep.errors import SidestepError
+
+    plants = [{"ell": ell, "amplitude": 5.0, "level": 1}]
+    overrides = {"model.lambda1": lambda1, "model.plants": plants}
+    cfg = write_config(tmp_path, overrides=overrides, m=300)
+    out = tmp_path / "out"
+    message = f"trace table at n=100 is not finite at k={k} "
+    assert run_cli("run", "--config", cfg, "--out", out) == 3
+    assert f"numeric failure: {message}" in capsys.readouterr().err
+    assert not (out / "trace_n100.csv").exists()
+    # stores drawn as run draws them: analyze and certify reduce them
+    exp = load_experiment(cfg)
+    for n in exp.n_grid:
+        draw_spectra(exp.model, n, exp.m, exp.seed).save(out / f"spectra_n{n}.npz")
+    assert run_cli("analyze", "--config", cfg, "--out", out) == 3
+    assert f"numeric failure: {message}" in capsys.readouterr().err
+    assert run_cli("certify", "--config", cfg, "--out", out) == certify_exit
+    if certify_exit == 3:
+        assert f"numeric failure: {message}" in capsys.readouterr().err
+    loaded = {n: Spectra.load(out / f"spectra_n{n}.npz") for n in exp.n_grid}
+    params = sidestep_params(1.0, lambda1, 1, 0.5)
+    with pytest.raises(SidestepError, match=message):
+        verify_sidestep(loaded, 1, params, k_max=18)
+
+
+@pytest.mark.parametrize(
     "overrides, field",
     [
         ({"k_max": 8, "detect.max_bases": 2}, "detect.max_bases"),

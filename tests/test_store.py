@@ -17,13 +17,12 @@ from sidestep import (
     draw_spectra,
     ein_eout,
     mc_expected_trace,
-    region_contains,
     sidestep_params,
     verify_sidestep,
 )
-from sidestep import models
+from sidestep import estimation, models
 from sidestep.cli import main
-from sidestep.errors import StreamMismatchError
+from sidestep.errors import SidestepError, StreamMismatchError
 from sidestep.estimation import region_expectations
 from sidestep.models import sample_seed
 
@@ -124,6 +123,13 @@ def test_npz_round_trip_is_bitwise(tmp_path_factory, draws, seed):
     assert back.offsets.tobytes() == spectra.offsets.tobytes()
 
 
+def region_contains(region: Region, z: complex) -> bool:
+    """Scalar reference for ``Region.member_mask``: closed balls throughout."""
+    if region.center_radius is not None and abs(z) <= region.center_radius:
+        return True
+    return any(abs(z - p) <= region.point_radius for p in region.points)
+
+
 @settings(deadline=None)
 @given(eigs=st.lists(eigenvalue, max_size=8), region=regions)
 def test_member_mask_agrees_with_region_contains(eigs, region):
@@ -183,17 +189,22 @@ def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
+def _scatter_add_sums(spectra, lo, hi, k_max):
+    """Power sums of draws lo..hi-1 by ``np.add.at`` of complex powers."""
+    offsets = spectra.offsets[lo : hi + 1]
+    owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
+    sums = np.zeros((hi - lo, k_max), dtype=complex)
+    powers = spectra.values[offsets[0] : offsets[-1], None] ** np.arange(1, k_max + 1)
+    np.add.at(sums, owner, powers)
+    return sums.real
+
+
 def _scatter_add_trace(spectra, k_max):
     """The two-pass ``np.add.at`` reduction that ``mc_expected_trace`` must
     reproduce byte for byte: complex powers, 2048-draw blocks."""
-    ks = np.arange(1, k_max + 1)
 
     def block_sums(lo, hi):
-        offsets = spectra.offsets[lo : hi + 1]
-        owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
-        sums = np.zeros((hi - lo, k_max), dtype=complex)
-        np.add.at(sums, owner, spectra.values[offsets[0] : offsets[-1], None] ** ks)
-        return sums.real
+        return _scatter_add_sums(spectra, lo, hi, k_max)
 
     m = spectra.m
     blocks = [(lo, min(lo + 2048, m)) for lo in range(0, m, 2048)]
@@ -228,8 +239,21 @@ def _random_store(seed, n, m, kind, scale=1.0, max_size=3):
 
 
 def _assert_matches_scatter_add(spectra, k_max):
-    table = mc_expected_trace(spectra, k_max)
     means, cov, stderrs = _scatter_add_trace(spectra, k_max)
+    bad = ~(np.isfinite(means) & np.isfinite(stderrs))
+    if bad.any():
+        # no table: the per-draw power sums keep the bits, and the error
+        # names the first k the reference cannot give
+        k = int(np.argmax(bad)) + 1
+        with pytest.raises(SidestepError, match=rf"n={spectra.n} is not finite at k={k} "):
+            mc_expected_trace(spectra, k_max)
+        ks = np.arange(1, k_max + 1)
+        for lo in range(0, spectra.m, 2048):
+            hi = min(lo + 2048, spectra.m)
+            got = estimation._draw_power_sums(spectra, lo, hi, ks)
+            assert got.tobytes() == _scatter_add_sums(spectra, lo, hi, k_max).tobytes()
+        return
+    table = mc_expected_trace(spectra, k_max)
     assert table.means.tobytes() == means.tobytes()
     assert table.covariance.tobytes() == cov.tobytes()
     assert table.stderrs.tobytes() == stderrs.tobytes()
@@ -267,8 +291,6 @@ def test_trace_reduction_bitwise_at_the_edges(kind, scale, k_max):
 def test_bitwise_reference_sees_other_power_rules(monkeypatch, mutant):
     # the bitwise checks above can tell numpy's complex power from libm
     # pow, and from the squaring chain at k = 100
-    from sidestep import estimation
-
     if mutant == "float pow":
         monkeypatch.setattr(
             estimation,
