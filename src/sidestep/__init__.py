@@ -32,7 +32,6 @@ from .spectral import (
     SpectrumSample,
     ein_eout,
     hashimoto_from_adjacency,
-    region_contains,
     sym_eigs,
 )
 from .models import (

@@ -59,12 +59,6 @@ class Region:
         return inside
 
 
-def region_contains(region: Region, z: complex) -> bool:
-    if region.center_radius is not None and abs(z) <= region.center_radius:
-        return True
-    return any(abs(z - p) <= region.point_radius for p in region.points)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumSample:
     """One sampled n x n matrix, represented by its eigenvalue multiset.
