@@ -202,19 +202,15 @@ def _scatter_add_sums(spectra, lo, hi, k_max):
 def _scatter_add_trace(spectra, k_max):
     """The two-pass ``np.add.at`` reduction that ``mc_expected_trace`` must
     reproduce byte for byte: complex powers, 2048-draw blocks."""
-
-    def block_sums(lo, hi):
-        return _scatter_add_sums(spectra, lo, hi, k_max)
-
     m = spectra.m
     blocks = [(lo, min(lo + 2048, m)) for lo in range(0, m, 2048)]
     total = np.zeros(k_max)
     for lo, hi in blocks:
-        total += block_sums(lo, hi).sum(axis=0)
+        total += _scatter_add_sums(spectra, lo, hi, k_max).sum(axis=0)
     means = total / m
     scatter = np.zeros((k_max, k_max))
     for lo, hi in blocks:
-        d = block_sums(lo, hi) - means
+        d = _scatter_add_sums(spectra, lo, hi, k_max) - means
         scatter += np.einsum("ik,il->kl", d, d)
     cov = scatter / (m - 1) / m
     return means, cov, np.sqrt(np.diag(cov))
@@ -245,7 +241,8 @@ def _assert_matches_scatter_add(spectra, k_max):
         # no table: the per-draw power sums keep the bits, and the error
         # names the first k the reference cannot give
         k = int(np.argmax(bad)) + 1
-        with pytest.raises(SidestepError, match=rf"n={spectra.n} is not finite at k={k} "):
+        message = rf"n={spectra.n} is not finite at k={k} "
+        with pytest.raises(SidestepError, match=message):
             mc_expected_trace(spectra, k_max)
         ks = np.arange(1, k_max + 1)
         for lo in range(0, spectra.m, 2048):
