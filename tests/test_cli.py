@@ -218,7 +218,7 @@ def test_certify_checks_its_section_before_reading_a_store(
 def test_non_finite_trace_tables_exit_3(
     tmp_path, capsys, lambda1, ell, k, certify_exit
 ):
-    from sidestep import Spectra, draw_spectra, sidestep_params, verify_sidestep
+    from sidestep import draw_spectra, sidestep_params, verify_sidestep
     from sidestep.cli import load_experiment
     from sidestep.errors import SidestepError
 
@@ -232,17 +232,17 @@ def test_non_finite_trace_tables_exit_3(
     assert not (out / "trace_n100.csv").exists()
     # stores drawn as run draws them: analyze and certify reduce them
     exp = load_experiment(cfg)
-    for n in exp.n_grid:
-        draw_spectra(exp.model, n, exp.m, exp.seed).save(out / f"spectra_n{n}.npz")
+    stores = {n: draw_spectra(exp.model, n, exp.m, exp.seed) for n in exp.n_grid}
+    for n, spectra in stores.items():
+        spectra.save(out / f"spectra_n{n}.npz")
     assert run_cli("analyze", "--config", cfg, "--out", out) == 3
     assert f"numeric failure: {message}" in capsys.readouterr().err
     assert run_cli("certify", "--config", cfg, "--out", out) == certify_exit
     if certify_exit == 3:
         assert f"numeric failure: {message}" in capsys.readouterr().err
-    loaded = {n: Spectra.load(out / f"spectra_n{n}.npz") for n in exp.n_grid}
     params = sidestep_params(1.0, lambda1, 1, 0.5)
     with pytest.raises(SidestepError, match=message):
-        verify_sidestep(loaded, 1, params, k_max=18)
+        verify_sidestep(stores, 1, params, k_max=18)
 
 
 @pytest.mark.parametrize(
