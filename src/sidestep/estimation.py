@@ -76,24 +76,22 @@ def _real_powers(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
     squaring: x**k = x**(k - t) * x**t for the top bit t of k, and x**t comes
     from squaring x**(t/2).  The same float64 products give the real part
     bit for bit, up to the sign of an underflowed zero, which a sum that
-    starts at +0 cannot see.  Complex values, k >= _CHAIN_STOP and chains
-    that overflow go through the complex power itself.
+    starts at +0 cannot see.  Complex values and k >= _CHAIN_STOP go through
+    the complex power itself.
     """
-    if not np.any(values.imag):
-        chain = min(len(ks), _CHAIN_STOP - 1)
-        out = np.empty((len(ks), len(values)))
-        out[0] = values.real
-        with np.errstate(over="ignore"):  # an overflow falls back below
-            for k in range(2, chain + 1):
-                top = 1 << (k.bit_length() - 1)
-                if k == top:
-                    np.multiply(out[top // 2 - 1], out[top // 2 - 1], out=out[k - 1])
-                else:
-                    np.multiply(out[k - top - 1], out[top - 1], out=out[k - 1])
-        if np.isfinite(out[:chain]).all():
-            out[chain:] = (values ** ks[chain:, None]).real
-            return out
-    return (values ** ks[:, None]).real
+    if np.any(values.imag):
+        return (values ** ks[:, None]).real
+    chain = min(len(ks), _CHAIN_STOP - 1)
+    out = np.empty((len(ks), len(values)))
+    out[0] = values.real
+    for k in range(2, chain + 1):
+        top = 1 << (k.bit_length() - 1)
+        if k == top:
+            np.multiply(out[top // 2 - 1], out[top // 2 - 1], out=out[k - 1])
+        else:
+            np.multiply(out[k - top - 1], out[top - 1], out=out[k - 1])
+    out[chain:] = (values ** ks[chain:, None]).real
+    return out
 
 
 def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
