@@ -52,6 +52,7 @@ from .shiftops import annihilator
 from .spectral import Spectra
 from .theorem import (
     D_REF,
+    ENVELOPE_DELTA,
     certify_markov,
     certify_real_trace_bound,
     exceptional_params,
@@ -505,12 +506,12 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         raise ConfigError("certify section required for the certify command", "certify")
     exp.check_analysis()
     cert_cfg = exp.certify
-    lam0 = exp.model.lambda0
+    lam0, lam1 = exp.model.lambda0, exp.model.lambda1
     d = cert_cfg["D"]
     bases = cert_cfg["L"]
     eps = cert_cfg["epsilon"]
     alpha = cert_cfg["alpha"]
-    params = exceptional_params(lam0, exp.model.lambda1, eps, alpha)
+    params = exceptional_params(lam0, lam1, eps, alpha)
     span = d * max(1, len(bases))
     _require(
         exp.k_max >= span + 2,
@@ -519,18 +520,18 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         f"window k=1..{exp.k_max}; need k_max >= {span + 2}",
     )
     # verify_exceptional_bound's bound, checked before any store is read
-    theta0 = params.theta0_for(D_REF, max(1, len(bases)))
+    theta0 = params.theta0_for(D_REF, len(bases))
     theta = cert_cfg["theta"]
     if theta is None:
-        theta = params.theta0_for(max(2, d), max(1, len(bases)))
+        theta = params.theta0_for(max(2, d), len(bases))
     _require(
         theta <= theta0 + 1e-12,
         "certify.theta",
         f"must not exceed theta0 = {theta0}, got {theta}",
     )
-    # the envelope's (lambda1 + 0.05)**k and the Markov (lambda0 + epsilon)**k
+    # the envelope's (lambda1 + delta)**k and the Markov (lambda0 + epsilon)**k
     for field, term, base in (
-        ("model.lambda1", "lambda1 + 0.05", exp.model.lambda1 + 0.05),
+        ("model.lambda1", f"lambda1 + {ENVELOPE_DELTA}", lam1 + ENVELOPE_DELTA),
         ("certify.epsilon", "lambda0 + epsilon", lam0 + eps),
     ):
         _require(
@@ -540,7 +541,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         )
     store = _SpectraFiles(exp, out)
     tables, _, levels = analyze_levels(
-        store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
+        store, exp.k_max, exp.fit_r, lam0, lam1, exp.max_bases
     )
 
     # Markov-type filter certificates, one per dimension, on the first draws.
@@ -555,9 +556,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     # Exceptional-eigenvalue decay across the grid.
     report = verify_exceptional_bound(exp.model, store, params, bases, theta)
     # Growth envelope for the annihilated trace sequences.
-    envelope = certify_real_trace_bound(
-        exp.model, tables, bases, d, exp.fit_r, levels
-    )
+    envelope = certify_real_trace_bound(tables, bases, d, exp.fit_r, levels, lam0, lam1)
 
     rows = [*markov, *report.rows, *envelope.rows]
     failures = [c for c in markov if not c.passed]

@@ -277,12 +277,13 @@ class EnvelopeCertificate:
 
 
 def certify_real_trace_bound(
-    model,
     tables: Sequence[TraceTable],
     bases: Sequence[float],
     d: int,
     r: int,
     levels: Sequence[Sequence[DetectedBase]],
+    lambda0: float,
+    lambda1: float,
 ) -> EnvelopeCertificate:
     """Check |Ann(S) applied to the mean traces| against the two-branch
     envelope A*(lambda0+delta)**k * n + B*(lambda1+delta)**k * n**-r, with
@@ -306,7 +307,6 @@ def certify_real_trace_bound(
             for db in found
         )
     )
-    lam0, lam1 = model.lambda0, model.lambda1
     # |Ann|(S) applied to |means| and to stderrs sizes the rounding and the
     # sampling error of Ann(S) applied to the means
     abs_ann = ShiftPolynomial(tuple(np.abs(np.array(ann.coeffs))))
@@ -326,8 +326,8 @@ def certify_real_trace_bound(
             ks,
             value,
             1e-12 * mag_in + 5.0 * se_in,
-            [(lam0 + ENVELOPE_DELTA) ** k * t.n for k in ks],
-            [(lam1 + ENVELOPE_DELTA) ** k * float(t.n) ** (-r) for k in ks],
+            [(lambda0 + ENVELOPE_DELTA) ** k * t.n for k in ks],
+            [(lambda1 + ENVELOPE_DELTA) ** k * float(t.n) ** (-r) for k in ks],
         ))
     n, k, value, floor, u_c, u_r = (np.concatenate(col) for col in zip(*parts))
     k_values = sorted(set(k.tolist()))
@@ -396,7 +396,7 @@ def verify_exceptional_bound(
     again from ``model`` to flag the locations of the offending
     eigenvalues, which point at any base missing from the supplied set.
     """
-    theta0 = params.theta0_for(D_REF, max(1, len(bases)))
+    theta0 = params.theta0_for(D_REF, len(bases))
     if theta > theta0 + 1e-12:
         raise PreconditionError(f"theta = {theta} exceeds theta0 = {theta0}")
     points = tuple(float(b) for b in bases)

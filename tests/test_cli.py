@@ -205,6 +205,44 @@ def test_certify_checks_its_section_before_reading_a_store(
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_certify_theta_bound_is_theta0_for_the_reference_size(
+    tmp_path, capsys, above
+):
+    # certify and verify_exceptional_bound accept theta up to
+    # theta0_for(D_REF, len(L)) within 1e-12, and reject beyond
+    from sidestep import Spectra, exceptional_params, verify_exceptional_bound
+    from sidestep.cli import load_experiment
+    from sidestep.errors import PreconditionError
+    from sidestep.theorem import D_REF
+
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    section = raw["certify"]
+    params = exceptional_params(
+        raw["model"]["lambda0"],
+        raw["model"]["lambda1"],
+        section["epsilon"],
+        section["alpha"],
+    )
+    theta = params.theta0_for(D_REF, len(section["L"])) + (2e-12 if above else 0.0)
+    section["theta"] = theta
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps(dict(raw, m=50)))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    code = run_cli("certify", "--config", cfg, "--out", out)
+    exp = load_experiment(cfg)
+    stores = {n: Spectra.load(out / f"spectra_n{n}.npz") for n in exp.n_grid}
+    if above:
+        assert code == 2
+        assert "config error: certify.theta:" in capsys.readouterr().err
+        with pytest.raises(PreconditionError):
+            verify_exceptional_bound(exp.model, stores, params, section["L"], theta)
+    else:
+        assert code != 2 and (out / "certify.txt").exists()
+        verify_exceptional_bound(exp.model, stores, params, section["L"], theta)
+
+
 @pytest.mark.parametrize(
     "lambda1, ell, k, certify_exit",
     [

@@ -240,7 +240,9 @@ def test_real_trace_bound_oracle_annihilation():
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
     levels = detect_levels(est, model.lambda0, model.lambda1)
-    cert = certify_real_trace_bound(model, tables, [2.0], 1, 2, levels)
+    cert = certify_real_trace_bound(
+        tables, [2.0], 1, 2, levels, model.lambda0, model.lambda1
+    )
     assert cert.d_sufficient
     assert cert.passed
 
@@ -251,7 +253,9 @@ def test_real_trace_bound_no_plants_growth_check():
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
     levels = detect_levels(est, model.lambda0, model.lambda1)
-    cert = certify_real_trace_bound(model, tables, [], 0, 2, levels)
+    cert = certify_real_trace_bound(
+        tables, [], 0, 2, levels, model.lambda0, model.lambda1
+    )
     assert cert.passed
 
 
@@ -262,7 +266,9 @@ def test_real_trace_bound_insufficient_degree_fails():
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
     levels = detect_levels(est, model.lambda0, model.lambda1)
-    cert = certify_real_trace_bound(model, tables, [2.0], 0, 2, levels)
+    cert = certify_real_trace_bound(
+        tables, [2.0], 0, 2, levels, model.lambda0, model.lambda1
+    )
     assert not cert.d_sufficient
     assert not cert.passed
     assert cert.worst.k > 10
@@ -275,12 +281,14 @@ def test_real_trace_bound_isolation_profile_runs():
     tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
     est = fit_expansion(tables, 2)
     levels = detect_levels(est, model.lambda0, model.lambda1)
-    cert = certify_real_trace_bound(model, tables, [], 2, 2, levels)
+    cert = certify_real_trace_bound(
+        tables, [], 2, 2, levels, model.lambda0, model.lambda1
+    )
     assert len(cert.rows) > 0
     assert not cert.passed
 
 
-def _envelope_per_row(model, tables, bases, d, r, delta=0.05):
+def _envelope_per_row(tables, bases, d, r, lambda0, lambda1, delta=0.05):
     """Reference: the envelope certificate's rows, built one row at a time."""
     ann = annihilator(d, bases) if d and bases else ShiftPolynomial.identity()
     qs = np.abs(np.array(ann.coeffs))
@@ -296,8 +304,8 @@ def _envelope_per_row(model, tables, bases, d, r, delta=0.05):
                 k,
                 float(abs(g[idx])),
                 float(1e-12 * mag_in + 5.0 * se_in),
-                (model.lambda0 + delta) ** k * t.n,
-                (model.lambda1 + delta) ** k * float(t.n) ** (-r),
+                (lambda0 + delta) ** k * t.n,
+                (lambda1 + delta) ** k * float(t.n) ** (-r),
             ))
     k_values = sorted({row[1] for row in rows})
     fit = [row for row in rows if row[1] <= k_values[len(k_values) // 2]]
@@ -316,7 +324,6 @@ def test_real_trace_bound_rows_match_per_row_reference(seed):
     # the certificate reduces whole columns at once; every row must keep
     # the bits of the one-row-at-a-time arithmetic
     rng = np.random.default_rng(seed)
-    model = demo_model()
     k_max = int(rng.integers(12, 21))
     ks = np.arange(1, k_max + 1)
     tables = []
@@ -325,8 +332,8 @@ def test_real_trace_bound_rows_match_per_row_reference(seed):
         stderrs = np.abs(rng.normal(size=k_max)) * (rng.random(k_max) < 0.7)
         tables.append(TraceTable(n, ks, means, stderrs, 100, np.diag(stderrs**2)))
     d, bases = [(0, []), (2, [2.0]), (2, [2.0, -1.5]), (4, [3.0])][seed % 4]
-    cert = certify_real_trace_bound(model, tables, bases, d, 2, [])
-    a, b, rows = _envelope_per_row(model, tables, bases, d, 2)
+    cert = certify_real_trace_bound(tables, bases, d, 2, [], 1.0, 4.0)
+    a, b, rows = _envelope_per_row(tables, bases, d, 2, 1.0, 4.0)
     assert (cert.a_const, cert.b_const) == (a, b)
     assert [(c.n, c.k, c.lhs, c.rhs, c.slack, c.passed) for c in cert.rows] == rows
     assert {c.kind for c in cert.rows} == {"real-trace"}
