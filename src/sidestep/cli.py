@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     IllConditionedError,
     MissingInputError,
+    ParameterError,
     PreconditionError,
     SidestepError,
 )
@@ -252,7 +253,7 @@ class Experiment:
         self.k_max = _int(raw.get("k_max", min(20, horizon)), "k_max")
         _require(
             1 <= self.k_max <= horizon,
-            "k_max",
+            "k_max" if "k_max" in raw else "n_grid",
             f"must lie in 1..K(min n)={horizon}",
         )
 
@@ -511,7 +512,10 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     bases = cert_cfg["L"]
     eps = cert_cfg["epsilon"]
     alpha = cert_cfg["alpha"]
-    params = exceptional_params(lam0, lam1, eps, alpha)
+    try:
+        params = exceptional_params(lam0, lam1, eps, alpha)
+    except ParameterError as exc:  # the section's checks leave epsilon or alpha
+        raise ConfigError(str(exc), f"certify.{exc.argument}") from exc
     span = d * max(1, len(bases))
     _require(
         exp.k_max >= span + 2,

@@ -59,7 +59,11 @@ class IllConditionedError(SidestepError):
 
 
 class ParameterError(SidestepError):
-    """Parameter formulas were called with out-of-range arguments."""
+    """Parameter formulas got out-of-range arguments; ``argument`` names one."""
+
+    def __init__(self, message: str, argument: str = ""):
+        super().__init__(message)
+        self.argument = argument
 
 
 class PreconditionError(SidestepError):

@@ -331,7 +331,7 @@ def detect_bases(
         raise WindowTooShortError(
             f"window of length {len(values)} < 2 * max_bases + 2 = {2 * max_bases + 2}"
         )
-    scale = float(np.max(np.abs(values))) if len(values) else 0.0
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return []
     cov = None
@@ -479,6 +479,5 @@ def estimate_C_ell(
         region = Region(None, (float(ell),), float(n) ** (-theta))
         (ein, _), = region_expectations(stores[n], [region])
         rows.append((int(n), float(ein * n**j)))
-    tail = rows[-2:] if len(rows) >= 2 else rows
-    extrapolated = float(np.mean([v for _, v in tail]))
+    extrapolated = float(np.mean([v for _, v in rows[-2:]]))
     return CEllEstimate(float(ell), j, theta, tuple(rows), extrapolated)

@@ -20,8 +20,9 @@ Two families:
 Sampling is a pure function of (config, n, seed): streams come from a
 counter-based Philox generator keyed by seed and sample/edge indices.
 ``draw_spectra`` draws i = 0..m-1 of a dimension once, planted draws a block
-at a time through a numpy copy of that stream (``sample_uniforms``); its
-``Spectra`` store feeds every statistic, so no draw is made twice.
+at a time through a numpy copy of that stream (``sample_uniforms``, which
+takes numpy's (seed, n) SeedSequence pool and hashes only each draw's index
+words); its ``Spectra`` store feeds every statistic, so no draw is made twice.
 """
 
 from __future__ import annotations
@@ -81,50 +82,31 @@ def _words(x: int) -> list[int]:
     return out
 
 
+def _hashmix(rows: np.ndarray, const: int, mult: int) -> np.ndarray:
+    """SeedSequence's hash step on each row in turn, from constant ``const``."""
+    steps = [const * pow(mult, r, 1 << 32) & _U32 for r in range(len(rows) + 1)]
+    consts = np.array(steps, dtype=np.uint32)[:, None]
+    value = (rows ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
+
+
 def _philox_keys(seed: int, n: int, index: np.ndarray):
     """Philox keys of ``sample_seed(seed, n, i)`` for every i in ``index``.
 
-    Column arithmetic over the draws of SeedSequence's entropy assembly,
-    ``mix_entropy`` and ``generate_state(2, uint64)``.  The hash constants
-    evolve independently of the data, so every i with the same number of
-    uint32 words follows one sequence of column operations.
+    ``SeedSequence(seed, spawn_key=(n, i))`` mixes i's uint32 words into the
+    pool of ``SeedSequence(seed, spawn_key=(n,))``, whose hash constant has
+    taken 4 steps per word of the padded seed and of n.  Only i's words are
+    hashed per draw, then ``generate_state(2, uint64)``.
     """
-    run = _words(int(seed))
-    run += [0] * (_POOL - len(run))  # spawned sequences pad the run entropy
-    cols = [np.full(len(index), w, dtype=np.uint32) for w in run + _words(int(n))]
-    width = len(_words(int(index[-1])))
-    cols += [
-        ((index >> np.uint64(32 * j)) & np.uint64(_U32)).astype(np.uint32)
-        for j in range(width)
-    ]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _U32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return out ^ (out >> np.uint32(16))
-
-    pool = [hashmix(cols[i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in cols[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = []
-    const = _INIT_B
-    for word in pool:
-        word = word ^ np.uint32(const)
-        const = (const * _MULT_B) & _U32
-        word = word * np.uint32(const)
-        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    pool = np.random.SeedSequence(int(seed), spawn_key=(int(n),)).pool[:, None]
+    hashed = max(_POOL, len(_words(int(seed)))) + len(_words(int(n)))
+    for j in range(len(_words(int(index[-1])))):
+        word = ((index >> np.uint64(32 * j)) & np.uint64(_U32)).astype(np.uint32)
+        const = _INIT_A * pow(_MULT_A, _POOL * (hashed + j), 1 << 32) & _U32
+        value = _hashmix(np.tile(word, (_POOL, 1)), const, _MULT_A)
+        mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * value
+        pool = mixed ^ (mixed >> np.uint32(16))
+    state = _hashmix(pool, _INIT_B, _MULT_B).astype(np.uint64)
     high = np.uint64(32)  # little-endian word pairs make each uint64
     return state[0] | (state[1] << high), state[2] | (state[3] << high)
 
@@ -350,19 +332,10 @@ def _validate_regular(adj: np.ndarray) -> int:
     d = int(degrees[0])
     if not np.all(degrees == d):
         raise ValueError("base graph must be regular")
-    # connectivity by breadth-first search
-    v = adj.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in np.nonzero(adj[u])[0]:
-                if int(w) not in seen:
-                    seen.add(int(w))
-                    nxt.append(int(w))
-        frontier = nxt
-    if len(seen) != v:
+    seen = np.arange(len(adj)) == 0  # grow the set reachable from vertex 0
+    for _ in range(len(adj)):
+        seen |= adj[seen].any(axis=0)
+    if not seen.all():
         raise ValueError("base graph must be connected")
     return d
 

@@ -33,10 +33,11 @@ def _trim(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(complex(c) for c in out)
 
 
-def _poly_eval(coeffs: Sequence[complex], k: float) -> complex:
+def _poly_eval(coeffs: Sequence[complex], z: complex) -> complex:
+    """Horner evaluation of the constant-first polynomial at complex z."""
     acc = 0j
     for c in reversed(coeffs):
-        acc = acc * k + c
+        acc = acc * z + c
     return acc
 
 
@@ -83,11 +84,8 @@ class Polyexponential:
                 )
             clean.append((base, tc))
         clean.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-        fs = list(self.finite_support)
-        while fs and fs[-1] == 0:
-            fs.pop()
         object.__setattr__(self, "terms", tuple(clean))
-        object.__setattr__(self, "finite_support", tuple(complex(v) for v in fs))
+        object.__setattr__(self, "finite_support", _trim(self.finite_support))
 
     @classmethod
     def zero(cls) -> "Polyexponential":

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BaseNotCoveredError, DuplicateBaseError, WindowTooShortError
-from .polyexp import BASE_TOL, Polyexponential, _trim
+from .polyexp import BASE_TOL, Polyexponential, _poly_eval, _trim
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,7 @@ def sp_mul(q1: ShiftPolynomial, q2: ShiftPolynomial) -> ShiftPolynomial:
 
 def sp_eval(q: ShiftPolynomial, z: complex) -> complex:
     """Horner evaluation of Q at z."""
-    acc = 0j
-    for c in reversed(q.coeffs):
-        acc = acc * z + c
-    return acc
+    return _poly_eval(q.coeffs, z)
 
 
 def annihilator(d: int, bases: Sequence[complex]) -> ShiftPolynomial:

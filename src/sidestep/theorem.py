@@ -90,7 +90,8 @@ def exceptional_params(
     r0 is one more than the ceiling of alpha + kappa * log(lambda1 /
     (lambda0+epsilon)).  Both strict inequalities are re-checked numerically
     and their minimum slack, divided by 2 * D_REF * N_BASES_REF, realizes
-    theta0.
+    theta0.  ParameterError names epsilon when lambda0 + epsilon rounds to
+    lambda0, and epsilon or alpha when r0 is too large to be exact.
     """
     if lambda0 <= 0 or epsilon <= 0 or lambda1 <= lambda0 or alpha <= 0:
         raise ParameterError(
@@ -98,10 +99,17 @@ def exceptional_params(
             f"got ({lambda0}, {lambda1}, {epsilon}, {alpha})"
         )
     gap = log((lambda0 + epsilon) / lambda0)
+    if gap == 0:
+        raise ParameterError("lambda0 + epsilon rounds to lambda0", "epsilon")
     ratio = log(lambda1) - log(lambda0 + epsilon)
     r0_bound = alpha + (alpha + 1.0) * ratio / gap
     kappa = (1.0 + KAPPA_MARGIN) * (alpha + 1.0) / gap
-    r0 = max(1, ceil(alpha + kappa * ratio) + 1)
+    top = alpha + kappa * ratio
+    if not top < 2.0**52:  # floats from 2**52 on are 1 apart
+        # the larger factor of kappa * ratio ~ (alpha + 1) * ratio / gap is at fault
+        blame = "alpha" if alpha + 1.0 >= ratio / gap else "epsilon"
+        raise ParameterError(f"r0 = ceil({top:.6g}) + 1 is past exact floats", blame)
+    r0 = max(1, ceil(top) + 1)
     slack_first = kappa * gap - alpha - 1.0
     slack_second = r0 - alpha - kappa * ratio
     slack = min(slack_first, slack_second)
@@ -236,19 +244,14 @@ def certify_markov(
     points = tuple(float(np.real(b)) for b in bases)
     region = Region(lambda0 + epsilon, points, float(n) ** (-theta))
     _, eout = ein_eout(samples, region)
-    if d == 0 or not points:
-        ann = ShiftPolynomial.identity()
-        exponent = 0.0
-    else:
-        ann = annihilator(d, points)
-        exponent = theta * d * len(points)
+    ann = annihilator(d, points) if d and points else ShiftPolynomial.identity()
     ks = np.arange(k, k + ann.degree + 1)
     mrt = mean_real_trace(samples, ks)
     rhs_c = complex(sp_apply_seq(ann, mrt.astype(complex))[0])
     scale = max(1.0, float(np.sum(np.abs(ann.coeffs)) * np.max(np.abs(mrt))))
     if abs(rhs_c.imag) > 1e-9 * scale:
         raise PreconditionError(f"rhs has imaginary residue {rhs_c.imag}")
-    lhs = float(n) ** (-exponent) * (lambda0 + epsilon) ** k * eout
+    lhs = float(n) ** (-theta * d * len(points)) * (lambda0 + epsilon) ** k * eout
     rhs = rhs_c.real
     passed = rhs - lhs >= -1e-9 * max(abs(lhs), abs(rhs), 1.0)
     return Certificate("markov", n, k, lhs, rhs, passed)

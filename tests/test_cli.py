@@ -182,6 +182,25 @@ def test_analysis_default_that_cannot_fit_exits_2(
 
 
 @pytest.mark.parametrize(
+    "drop, field",
+    [
+        # the default k_max = min(20, K(1)) = 0 follows n_grid
+        (["k_max"], "n_grid"),
+        ([], "k_max"),
+    ],
+)
+def test_k_max_range_names_the_field_that_sets_it(tmp_path, capsys, drop, field):
+    cfg = write_config(
+        tmp_path,
+        overrides={"n_grid": [1, 2, 4], "k_max": 4, "model.plants": []},
+        drop=drop,
+    )
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "overrides, field",
     [
         # D * len(L) = 20 leaves no even Markov k in the window 1..18
@@ -191,6 +210,10 @@ def test_analysis_default_that_cannot_fit_exits_2(
         # finite, but (lambda1 + 0.05)**18 and (lambda0 + epsilon)**18 overflow
         ({"model.lambda1": 1e300}, "model.lambda1"),
         ({"certify.epsilon": 1e300}, "certify.epsilon"),
+        # lambda0 + epsilon rounds to lambda0: log((lambda0 + epsilon) / lambda0) = 0
+        ({"certify.epsilon": 1e-17}, "certify.epsilon"),
+        # r0 = ceil(alpha + kappa * log(...)) + 1 is past exact floats
+        ({"certify.alpha": 1e300}, "certify.alpha"),
     ],
 )
 def test_certify_checks_its_section_before_reading_a_store(

@@ -256,6 +256,17 @@ def test_lift_config_validation():
         LiftConfig(disconnected, (2,), hashimoto=False)
 
 
+def test_lift_base_must_be_connected():
+    k4, zero = complete_graph(4), np.zeros((4, 4), dtype=int)
+    with pytest.raises(ValueError, match="connected"):
+        LiftConfig(np.block([[k4, zero], [zero, k4]]), (2,))
+    # the circular ladder C8 x K2: 3-regular, diameter 5
+    step = np.roll(np.eye(8, dtype=int), 1, axis=1)
+    rung = np.eye(8, dtype=int)
+    ladder = np.block([[step + step.T, rung], [rung, step + step.T]])
+    assert LiftConfig(ladder, (2,)).degree == 3
+
+
 def test_lift_defaults():
     cfg = LiftConfig(complete_graph(4), (4,))
     assert cfg.degree == 3

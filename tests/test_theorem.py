@@ -96,6 +96,33 @@ def test_exceptional_params_validation():
         exceptional_params(1.0, 4.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon, alpha, blame, match",
+    [
+        # 1 + 1e-17 == 1, so log((lambda0 + epsilon) / lambda0) is 0
+        (1e-17, 2.0, "epsilon", "rounds to lambda0"),
+        # from 2**52 on floats are 1 apart, so r0 = ceil(.) + 1 is not exact
+        (0.5, 1e300, "alpha", "past exact floats"),
+        (0.5, 1.7e308, "alpha", "past exact floats"),  # the ceiling's argument is inf
+        (0.5, 2e17, "alpha", "past exact floats"),
+        # here kappa ~ 1 / gap is the large factor
+        (3e-16, 2.0, "epsilon", "past exact floats"),
+    ],
+)
+def test_exceptional_params_name_what_rounding_defeats(epsilon, alpha, blame, match):
+    with pytest.raises(ParameterError, match=match) as info:
+        exceptional_params(1.0, 4.0, epsilon, alpha)
+    assert info.value.argument == blame
+
+
+def test_exceptional_params_exact_just_below_2_52():
+    p = exceptional_params(1.0, 4.0, 0.5, 1e15)
+    top = 1e15 + p.kappa * (log(4.0) - log(1.5))
+    assert 2**51 < top < 2**52
+    assert p.r0 == ceil(top) + 1
+    assert p.slack > 0
+
+
 def test_sidestep_params_kappa0_hand_computed():
     p = sidestep_params(1.0, 4.0, 0, 3.0)
     assert p.epsilon_tilde == pytest.approx(1.0)
