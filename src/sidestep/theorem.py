@@ -395,9 +395,11 @@ def verify_exceptional_bound(
     annihilator size for the supplied base count.  The check must hold on
     the tail (second half) of the dimension grid; ``worst`` is the failing
     row with the least slack, or the least-slack row when none fails.  When
-    the check fails at some n, up to 2000 of that n's draws are sampled
-    again from ``model`` to flag the locations of the offending
-    eigenvalues, which point at any base missing from the supplied set.
+    the check fails at some n, the store shows which of that n's first
+    min(m, 2000) draws have an eigenvalue outside the region; only those
+    draws are sampled again from ``model``, in draw order, and the
+    locations of their outside eigenvalues are flagged, pointing at any
+    base missing from the supplied set.
     """
     theta0 = params.theta0_for(D_REF, len(bases))
     if theta > theta0 + 1e-12:
@@ -413,7 +415,14 @@ def verify_exceptional_bound(
         ok = eout <= threshold + 1e-12
         rows.append(Certificate("exceptional", int(n), 0, eout, threshold, ok))
         if not ok:
-            for i in range(min(spectra.m, 2000)):
+            # the store holds draws 0..count-1 bit for bit, less their zeros,
+            # which lie in the central disk; re-draw the draws it shows outside
+            count = min(spectra.m, 2000)
+            values = spectra.values[: spectra.offsets[count]]
+            hits = np.searchsorted(
+                spectra.offsets, np.flatnonzero(~region.member_mask(values)), "right"
+            ) - 1
+            for i in dict.fromkeys(hits.tolist()):
                 eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
                 outside = eigs[~region.member_mask(eigs)]
                 for z in outside:

@@ -636,6 +636,44 @@ def test_each_sample_drawn_once_per_pipeline(tmp_path, monkeypatch):
     assert drawn == {"run": (spot_checks, 4000 * 3), "analyze": (0, 0), "certify": (0, 0)}
 
 
+def test_certify_flag_pass_redraws_only_offending_draws(tmp_path, monkeypatch):
+    # without its base the demo fails the exceptional bound; the flag pass
+    # re-draws, per failing n, only those of the first 2000 draws that the
+    # store shows outside the central disk, not all 2000
+    from sidestep.models import PlantedModel
+    from sidestep.spectral import Region, Spectra
+
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    raw["m"] = 2500
+    raw["certify"]["L"] = []
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    calls = count_draws(monkeypatch, PlantedModel)
+    assert run_cli("certify", "--config", cfg, "--out", out) == 5
+    flagged = [
+        line for line in (out / "certify.txt").read_text().splitlines()
+        if line.startswith("flagged eigenvalue locations")
+    ]
+    assert len(flagged) == 1 and "2.0" in flagged[0]
+    _, *rows = (out / "certificates.csv").read_text().splitlines()
+    failing = [
+        int(n) for kind, n, *_, passed in (row.split(",") for row in rows)
+        if kind == "exceptional" and passed == "false"
+    ]
+    region = Region(raw["model"]["lambda0"] + raw["certify"]["epsilon"])
+    want = []
+    for n in failing:
+        spectra = Spectra.load(out / f"spectra_n{n}.npz")
+        want += [
+            n for i in range(2000)
+            if not region.member_mask(spectra.sample(i).eigenvalues).all()
+        ]
+    assert failing and calls == want
+    assert len(calls) < 2000
+
+
 def test_mutated_block_kernel_exits_3_naming_the_draw(tmp_path, monkeypatch, capsys):
     from sidestep import models
 

@@ -1,4 +1,4 @@
-"""Pinned output bytes: five CLI pipelines must write the files recorded in
+"""Pinned output bytes: six CLI pipelines must write the files recorded in
 ``tests/data/output_digests.json``, with the recorded exit codes.
 
 Each command runs in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1``.
@@ -43,6 +43,8 @@ def _config(name, **changes):
 CASES = {
     "demo-m2000": (_config("demo.json", m=2000), ALL),
     "demo-m2000-no-L": (_config("demo.json", m=2000, **{"certify.L": []}), ("run", "certify")),
+    # past the 2000-draw cap of the exceptional bound's flag pass
+    "demo-m2500-no-L": (_config("demo.json", m=2500, **{"certify.L": []}), ("run", "certify")),
     # non-dyadic fixed part and plant: their powers differ in the last bit
     # between numpy's complex-power chain and libm pow
     "demo-m2000-nondyadic": (

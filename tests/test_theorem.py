@@ -5,11 +5,16 @@ from math import ceil, log
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
+    LiftConfig,
+    LiftModel,
     Plant,
     PlantedConfig,
     PlantedModel,
+    Region,
     ShiftPolynomial,
     SpectrumSample,
     TraceTable,
@@ -28,6 +33,9 @@ from sidestep import (
     verify_sidestep,
 )
 from sidestep.errors import ParameterError, PreconditionError
+from sidestep.estimation import region_expectations
+from sidestep.models import sample_seed
+from sidestep.theorem import D_REF, BoundReport, Certificate
 
 
 def demo_model(n_grid=(100, 200, 400, 800)):
@@ -432,6 +440,145 @@ def test_verify_exceptional_bound_judges_the_tail():
     assert report.worst == report.rows[0]
     assert (report.worst.lhs, report.worst.rhs) == (1.0, 10.0 ** -2.0)
     assert report.flagged == (3.0,)
+
+
+def full_redraw_bound(model, stores, params, bases, theta):
+    """Reference for ``verify_exceptional_bound`` whose flag pass re-draws
+    every one of the first min(m, 2000) draws of a failing n."""
+    points = tuple(float(b) for b in bases)
+    rows, flagged = [], {}
+    for n in sorted(stores):
+        spectra = stores[n]
+        region = Region(params.lambda0 + params.epsilon, points, float(n) ** (-theta))
+        (ein, eout), = region_expectations(spectra, [region])
+        threshold = float(n) ** (-params.alpha)
+        ok = eout <= threshold + 1e-12
+        rows.append(Certificate("exceptional", int(n), 0, eout, threshold, ok))
+        if not ok:
+            for i in range(min(spectra.m, 2000)):
+                eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
+                for z in eigs[~region.member_mask(eigs)]:
+                    key = round(float(z.real), 2)
+                    flagged[key] = flagged.get(key, 0) + 1
+    passed = all(r.passed for r in rows[len(rows) // 2 :])
+    worst = min([r for r in rows if not r.passed] or rows, key=lambda r: r.slack)
+    flags = tuple(sorted(flagged, key=lambda x: -flagged[x]))
+    return BoundReport(tuple(rows), worst, passed, flags)
+
+
+class Recording:
+    """A model wrapper that records (n, i) of every ``sample`` call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def sample(self, n, seed):
+        self.calls.append((n, seed.spawn_key[-1]))
+        return self.model.sample(n, seed)
+
+
+def check_flag_pass(model, stores, params, bases, theta):
+    """The bound flags what a full re-draw flags, sampling exactly the
+    draws i < min(m, 2000) of each failing n whose stored values leave the
+    region, in draw order."""
+    recording = Recording(model)
+    report = verify_exceptional_bound(recording, stores, params, bases, theta)
+    assert report == full_redraw_bound(model, stores, params, bases, theta)
+    offending = []
+    for row in report.rows:
+        if row.passed:
+            continue
+        spectra = stores[row.n]
+        region = Region(
+            params.lambda0 + params.epsilon, tuple(bases), float(row.n) ** (-theta)
+        )
+        offending += [
+            (row.n, i)
+            for i in range(min(spectra.m, 2000))
+            if not region.member_mask(spectra.sample(i).eigenvalues).all()
+        ]
+    assert recording.calls == offending
+    return report
+
+
+@st.composite
+def planted_bound_cases(draw):
+    fixed = draw(
+        st.lists(st.sampled_from([0.0, -0.0, 0.3, -0.5, 1.0, -1.0]), max_size=3)
+    )
+    plants = draw(
+        st.lists(
+            st.builds(
+                lambda sign, ell, amplitude: Plant(sign * ell, amplitude, 1),
+                st.sampled_from([1.0, -1.0]),
+                st.floats(1.05, 4.0),
+                st.floats(0.5, 20.0),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    grid = draw(st.sampled_from([(20,), (20, 40)]))
+    model = PlantedModel(PlantedConfig(1.0, 4.0, grid, tuple(fixed), tuple(plants)))
+    m = draw(st.one_of(st.integers(1, 2600), st.integers(1990, 2600)))  # the cap
+    seed = draw(st.integers(0, 2**32))
+    bases = draw(st.lists(st.sampled_from([p.ell for p in plants]), unique=True))
+    params = exceptional_params(
+        1.0, 4.0, draw(st.floats(0.01, 1.5)), draw(st.sampled_from([1.0, 2.0, 3.0]))
+    )
+    theta = draw(st.floats(0.05, 1.0)) * params.theta0_for(D_REF, len(bases))
+    return model, m, seed, bases, params, theta
+
+
+# the demo's missing base past the 2000-draw cap, fixed part with a zero
+CAPPED = (
+    PlantedModel(PlantedConfig(1.0, 4.0, (20, 40), (0.0, -0.5), (Plant(2.0, 5.0, 1),))),
+    2600, 7, [], exceptional_params(1.0, 4.0, 0.5, 2.0), 0.01,
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(case=planted_bound_cases())
+@example(case=CAPPED)
+def test_flag_pass_redraws_only_offending_planted_draws(case):
+    model, m, seed, bases, params, theta = case
+    stores = {n: draw_spectra(model, n, m, seed) for n in model.n_grid}
+    check_flag_pass(model, stores, params, bases, theta)
+
+
+class ComplexOutliers:
+    """Draw i holds explicit zeros, 0.5j inside the central disk, a complex
+    outlier 2 + 1j when i % 3 == 1 and -3.0 when i % 4 == 0."""
+
+    def sample(self, n, seed):
+        i = seed.spawn_key[-1]
+        eigs = [0.0, 0.5j] + [2.0 + 1.0j] * (i % 3 == 1) + [0.0] + [-3.0] * (i % 4 == 0)
+        return SpectrumSample(np.array(eigs, dtype=complex), n=n)
+
+
+def test_flag_pass_on_per_draw_complex_store():
+    # nine draws hold each outlier three times: the tie keeps the order in
+    # which the draws first show them, -3.0 in draw 0
+    model = ComplexOutliers()
+    stores = {n: draw_spectra(model, n, 9, seed=1) for n in (10, 20)}
+    params = exceptional_params(1.0, 4.0, 0.5, 2.0)
+    report = check_flag_pass(model, stores, params, [], params.theta0)
+    assert not report.passed
+    assert report.flagged == (-3.0, 2.0)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_flag_pass_on_lift_store(seed):
+    # K4 lifts of degree 2 and 3: a few of the four draws per n keep a new
+    # eigenvalue outside the central disk
+    k4 = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
+    cfg = LiftConfig(k4, (2, 3))
+    model = LiftModel(cfg)
+    stores = {n: draw_spectra(model, n, 4, seed) for n in cfg.n_grid}
+    params = exceptional_params(cfg.lambda0, cfg.lambda1, 0.05, 3.0)
+    report = check_flag_pass(model, stores, params, [], params.theta0)
+    assert not report.passed and report.flagged
 
 
 def test_verify_sidestep_planted():
