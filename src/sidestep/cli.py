@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import zipfile
-from collections.abc import Mapping
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +30,6 @@ from .errors import (
     MissingInputError,
     ParameterError,
     PreconditionError,
-    SidestepError,
 )
 from .estimation import (
     DETECT_K_MIN,
@@ -54,6 +52,7 @@ from .spectral import Spectra
 from .theorem import (
     D_REF,
     ENVELOPE_DELTA,
+    ExceptionalParams,
     certify_markov,
     certify_real_trace_bound,
     exceptional_params,
@@ -337,6 +336,48 @@ class Experiment:
                 f"values, fewer than 2*max_bases+2 = {2 * self.max_bases + 2}",
             )
 
+    def check_certify(self) -> tuple[ExceptionalParams, float]:
+        """The rules certify needs beyond check_analysis, checked before any
+        store is read; run does not apply them.  Returns the exceptional
+        parameters and theta, theta0_for(max(2, D), len(L)) unless set."""
+        if self.certify is None:
+            raise ConfigError("certify section required for the certify command", "certify")
+        self.check_analysis()
+        lam0, lam1 = self.model.lambda0, self.model.lambda1
+        d, bases, eps = self.certify["D"], self.certify["L"], self.certify["epsilon"]
+        try:
+            params = exceptional_params(lam0, lam1, eps, self.certify["alpha"])
+        except ParameterError as exc:  # the section's checks leave epsilon or alpha
+            raise ConfigError(str(exc), f"certify.{exc.argument}") from exc
+        span = d * max(1, len(bases))
+        _require(
+            self.k_max >= span + 2,
+            "certify.D",
+            f"D*max(1, len(L)) = {span} leaves no even k >= 2 in the trace "
+            f"window k=1..{self.k_max}; need k_max >= {span + 2}",
+        )
+        # verify_exceptional_bound's bound
+        theta0 = params.theta0_for(D_REF, len(bases))
+        theta = self.certify["theta"]
+        if theta is None:
+            theta = params.theta0_for(max(2, d), len(bases))
+        _require(
+            theta <= theta0 + 1e-12,
+            "certify.theta",
+            f"must not exceed theta0 = {theta0}, got {theta}",
+        )
+        # the envelope's (lambda1 + delta)**k and the Markov (lambda0 + epsilon)**k
+        for field, term, base in (
+            ("model.lambda1", f"lambda1 + {ENVELOPE_DELTA}", lam1 + ENVELOPE_DELTA),
+            ("certify.epsilon", "lambda0 + epsilon", lam0 + eps),
+        ):
+            _require(
+                _power_is_finite(base, self.k_max),
+                field,
+                f"({term}) ** k_max = {base} ** {self.k_max} overflows a float",
+            )
+        return params, theta
+
 
 def load_experiment(path: str | Path) -> Experiment:
     try:
@@ -364,6 +405,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _location(z: float | complex) -> str:
+    """A flagged location: a real one as its float, a conjugate pair as re±imj."""
+    return f"{z.real}±{z.imag}j" if isinstance(z, complex) else str(z)
 
 
 def _spectra_path(out: Path, n: int) -> Path:
@@ -409,51 +455,35 @@ def cmd_run(exp: Experiment, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_spectra(exp: Experiment, out: Path, n: int) -> Spectra:
-    """The run's spectrum store for n, checked against this command's m and seed."""
-    path = _spectra_path(out, n)
-    if not path.exists():
-        raise MissingInputError(f"missing run output {path}; run 'run' first")
-    try:
-        spectra = Spectra.load(path)
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise MissingInputError(f"unreadable spectrum store {path}: {exc}") from exc
-    for field, want in (("n", n), ("m", exp.m), ("seed", exp.seed)):
-        got = getattr(spectra, field)
-        if got != want:
-            raise MissingInputError(
-                f"spectrum store {path} has {field}={got}, but this command "
-                f"uses {field}={want}; rerun 'run' with the same config and --seed"
-            )
-    return spectra
-
-
-class _SpectraFiles(Mapping):
-    """The run's spectrum stores by n, each read from disk when looked up,
-    so that one dimension's draws are in memory at a time.  Every store is
-    checked once on creation, before the command writes anything."""
-
-    def __init__(self, exp: Experiment, out: Path):
-        self.exp, self.out = exp, out
-        for n in exp.n_grid:
-            _load_spectra(exp, out, n)
-
-    def __getitem__(self, n: int) -> Spectra:
-        return _load_spectra(self.exp, self.out, n)
-
-    def __iter__(self):
-        return iter(self.exp.n_grid)
-
-    def __len__(self) -> int:
-        return len(self.exp.n_grid)
+def _load_stores(exp: Experiment, out: Path) -> dict[int, Spectra]:
+    """The run's spectrum stores by n, each loaded once and checked against
+    this command's m and seed before the command computes or writes anything."""
+    stores = {}
+    for n in exp.n_grid:
+        path = _spectra_path(out, n)
+        if not path.exists():
+            raise MissingInputError(f"missing run output {path}; run 'run' first")
+        try:
+            spectra = Spectra.load(path)
+        except (OSError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise MissingInputError(f"unreadable spectrum store {path}: {exc}") from exc
+        for field, want in (("n", n), ("m", exp.m), ("seed", exp.seed)):
+            got = getattr(spectra, field)
+            if got != want:
+                raise MissingInputError(
+                    f"spectrum store {path} has {field}={got}, but this command "
+                    f"uses {field}={want}; rerun 'run' with the same config and --seed"
+                )
+        stores[n] = spectra
+    return stores
 
 
 def cmd_analyze(exp: Experiment, out: Path) -> int:
     exp.check_analysis()
-    store = _SpectraFiles(exp, out)
+    stores = _load_stores(exp, out)
     _, est, levels = analyze_levels(
-        store, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
+        stores, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
     )
     _write_csv(
         out / "expansion.csv",
@@ -477,7 +507,7 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
         )
     else:
         for det in levels[j]:
-            ce = estimate_C_ell(store, det.ell, j, exp.theta)
+            ce = estimate_C_ell(stores, det.ell, j, exp.theta)
             for n, val in ce.per_n:
                 c_rows.append((det.ell, n, val))
             c_rows.append((det.ell, 0, ce.extrapolated))
@@ -503,62 +533,24 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
 
 
 def cmd_certify(exp: Experiment, out: Path) -> int:
-    if exp.certify is None:
-        raise ConfigError("certify section required for the certify command", "certify")
-    exp.check_analysis()
-    cert_cfg = exp.certify
+    params, theta = exp.check_certify()
     lam0, lam1 = exp.model.lambda0, exp.model.lambda1
-    d = cert_cfg["D"]
-    bases = cert_cfg["L"]
-    eps = cert_cfg["epsilon"]
-    alpha = cert_cfg["alpha"]
-    try:
-        params = exceptional_params(lam0, lam1, eps, alpha)
-    except ParameterError as exc:  # the section's checks leave epsilon or alpha
-        raise ConfigError(str(exc), f"certify.{exc.argument}") from exc
-    span = d * max(1, len(bases))
-    _require(
-        exp.k_max >= span + 2,
-        "certify.D",
-        f"D*max(1, len(L)) = {span} leaves no even k >= 2 in the trace "
-        f"window k=1..{exp.k_max}; need k_max >= {span + 2}",
-    )
-    # verify_exceptional_bound's bound, checked before any store is read
-    theta0 = params.theta0_for(D_REF, len(bases))
-    theta = cert_cfg["theta"]
-    if theta is None:
-        theta = params.theta0_for(max(2, d), len(bases))
-    _require(
-        theta <= theta0 + 1e-12,
-        "certify.theta",
-        f"must not exceed theta0 = {theta0}, got {theta}",
-    )
-    # the envelope's (lambda1 + delta)**k and the Markov (lambda0 + epsilon)**k
-    for field, term, base in (
-        ("model.lambda1", f"lambda1 + {ENVELOPE_DELTA}", lam1 + ENVELOPE_DELTA),
-        ("certify.epsilon", "lambda0 + epsilon", lam0 + eps),
-    ):
-        _require(
-            _power_is_finite(base, exp.k_max),
-            field,
-            f"({term}) ** k_max = {base} ** {exp.k_max} overflows a float",
-        )
-    store = _SpectraFiles(exp, out)
+    d, bases, eps = exp.certify["D"], exp.certify["L"], exp.certify["epsilon"]
+    stores = _load_stores(exp, out)
     tables, _, levels = analyze_levels(
-        store, exp.k_max, exp.fit_r, lam0, lam1, exp.max_bases
+        stores, exp.k_max, exp.fit_r, lam0, lam1, exp.max_bases
     )
 
     # Markov-type filter certificates, one per dimension, on the first draws.
     markov = []
-    k_cap = exp.k_max - span
+    k_cap = exp.k_max - d * max(1, len(bases))
     count = min(exp.m, 200)
-    for n in exp.n_grid:
+    for n, spectra in stores.items():
         k = min(params.even_k_near(n), k_cap - k_cap % 2)
-        spectra = store[n]
         samples = [spectra.sample(i, weight=1.0 / count) for i in range(count)]
         markov.append(certify_markov(samples, d, bases, theta, eps, k, n, lam0))
     # Exceptional-eigenvalue decay across the grid.
-    report = verify_exceptional_bound(exp.model, store, params, bases, theta)
+    report = verify_exceptional_bound(exp.model, stores, params, bases, theta)
     # Growth envelope for the annihilated trace sequences.
     envelope = certify_real_trace_bound(tables, bases, d, exp.fit_r, levels, lam0, lam1)
 
@@ -582,7 +574,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     if report.flagged:
         lines.append(
             "flagged eigenvalue locations outside region: "
-            + ", ".join(str(x) for x in report.flagged[:5])
+            + ", ".join(_location(z) for z in report.flagged[:5])
         )
     if failures:
         worst = min(failures, key=lambda c: c.slack)
@@ -644,7 +636,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         context = ", ".join(f"{k}={v}" for k, v in exc.diagnostics.items())
         print(f"numeric failure: {exc} ({context})", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SidestepError, ValueError) as exc:
+    except ValueError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # contract allows no exit codes beyond 0/2/3/4/5

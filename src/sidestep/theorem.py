@@ -22,7 +22,7 @@ through the estimation pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import ceil, log
+from math import ceil, inf, log
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,11 @@ class ExceptionalParams:
     r0: int
     r0_bound: float
     slack: float
-    theta0: float
+
+    @property
+    def theta0(self) -> float:
+        """theta0_for the reference annihilator size D_REF, N_BASES_REF."""
+        return self.theta0_for(D_REF, N_BASES_REF)
 
     def theta0_for(self, d: int, n_bases: int) -> float:
         """Positive theta guaranteeing the decay for an annihilator of
@@ -90,34 +94,48 @@ def exceptional_params(
     r0 is one more than the ceiling of alpha + kappa * log(lambda1 /
     (lambda0+epsilon)).  Both strict inequalities are re-checked numerically
     and their minimum slack, divided by 2 * D_REF * N_BASES_REF, realizes
-    theta0.  ParameterError names epsilon when lambda0 + epsilon rounds to
-    lambda0, and epsilon or alpha when r0 is too large to be exact.
+    theta0.  ParameterError names the argument at fault: epsilon when
+    (lambda0 + epsilon) / lambda0 rounds to 1 or overflows, and epsilon or
+    alpha when r0 or the terms of its slack are too large to be exact.
     """
-    if lambda0 <= 0 or epsilon <= 0 or lambda1 <= lambda0 or alpha <= 0:
-        raise ParameterError(
-            f"need 0 < lambda0 < lambda1, epsilon > 0, alpha > 0; "
-            f"got ({lambda0}, {lambda1}, {epsilon}, {alpha})"
-        )
+    for name, bad in (
+        ("lambda0", lambda0 <= 0),
+        ("lambda1", lambda1 <= lambda0),
+        ("epsilon", epsilon <= 0),
+        ("alpha", alpha <= 0),
+    ):
+        if bad:
+            raise ParameterError(
+                f"need 0 < lambda0 < lambda1, epsilon > 0, alpha > 0; "
+                f"got ({lambda0}, {lambda1}, {epsilon}, {alpha})",
+                name,
+            )
     gap = log((lambda0 + epsilon) / lambda0)
     if gap == 0:
         raise ParameterError("lambda0 + epsilon rounds to lambda0", "epsilon")
+    if gap == inf:
+        raise ParameterError("(lambda0 + epsilon) / lambda0 overflows", "epsilon")
     ratio = log(lambda1) - log(lambda0 + epsilon)
     r0_bound = alpha + (alpha + 1.0) * ratio / gap
     kappa = (1.0 + KAPPA_MARGIN) * (alpha + 1.0) / gap
     top = alpha + kappa * ratio
-    if not top < 2.0**52:  # floats from 2**52 on are 1 apart
+    # floats from 2**52 on are 1 apart: r0 = ceil(top) + 1 and the slack
+    # r0 - alpha - kappa * ratio are exact only below it
+    if not (top < 2.0**52 and alpha < 2.0**52 and abs(kappa * ratio) < 2.0**52):
         # the larger factor of kappa * ratio ~ (alpha + 1) * ratio / gap is at fault
         blame = "alpha" if alpha + 1.0 >= ratio / gap else "epsilon"
-        raise ParameterError(f"r0 = ceil({top:.6g}) + 1 is past exact floats", blame)
+        raise ParameterError(
+            f"r0 = ceil({alpha:.6g} + {kappa * ratio:.6g}) + 1 is past exact floats",
+            blame,
+        )
     r0 = max(1, ceil(top) + 1)
     slack_first = kappa * gap - alpha - 1.0
     slack_second = r0 - alpha - kappa * ratio
     slack = min(slack_first, slack_second)
     if slack <= 0:
         raise AssertionError("parameter slack must be positive by construction")
-    theta0 = slack / (2.0 * D_REF * N_BASES_REF)
     return ExceptionalParams(
-        lambda0, lambda1, epsilon, alpha, kappa, r0, r0_bound, slack, theta0
+        lambda0, lambda1, epsilon, alpha, kappa, r0, r0_bound, slack
     )
 
 
@@ -160,14 +178,25 @@ def sidestep_params(
     d_tilde is the smallest even integer whose inequality slack is >= 0.
     """
     if epsilon <= 0 or j < 0:
-        raise ParameterError(f"need epsilon > 0 and j >= 0, got ({epsilon}, {j})")
+        raise ParameterError(
+            f"need epsilon > 0 and j >= 0, got ({epsilon}, {j})",
+            "epsilon" if epsilon <= 0 else "j",
+        )
     if lambda0 + epsilon > lambda1:
         raise ParameterError(
             f"hypothesis violated: lambda0 + epsilon = {lambda0 + epsilon} "
-            f"> lambda1 = {lambda1}"
+            f"> lambda1 = {lambda1}",
+            "epsilon",
         )
     et = epsilon / 3.0
-    kappa0 = (j + 2.0) / log((lambda0 + 2 * et) / (lambda0 + et))
+    gap0 = log((lambda0 + 2 * et) / (lambda0 + et))
+    if gap0 == 0:
+        raise ParameterError(
+            "lambda0 + epsilon / 3 rounds to lambda0 + 2 * epsilon / 3", "epsilon"
+        )
+    if lambda1 + et == inf:
+        raise ParameterError("lambda1 + epsilon / 3 overflows a float", "epsilon")
+    kappa0 = (j + 2.0) / gap0
     alpha_tilde = j + 1.0 + kappa0 * (log(lambda1) - log(lambda0 + 2 * et))
     r_tilde = j + 1 + ceil(kappa0 * (log(lambda1 + et) - log(lambda0 + 2 * et)))
     inner = exceptional_params(lambda0, lambda1, et, alpha_tilde)
@@ -372,12 +401,13 @@ TREND_TOL = 0.15
 @dataclass(frozen=True)
 class BoundReport:
     """Per-n rows of the exceptional-count bound, its tail verdict and the
-    flagged eigenvalue locations."""
+    flagged eigenvalue locations: a real one as a float, a conjugate pair as
+    the complex number in the upper half-plane."""
 
     rows: tuple[Certificate, ...]
     worst: Certificate
     passed: bool
-    flagged: tuple[float, ...] = ()
+    flagged: tuple[float | complex, ...] = ()
 
 
 def verify_exceptional_bound(
@@ -399,14 +429,16 @@ def verify_exceptional_bound(
     min(m, 2000) draws have an eigenvalue outside the region; only those
     draws are sampled again from ``model``, in draw order, and the
     locations of their outside eigenvalues are flagged, pointing at any
-    base missing from the supplied set.
+    base missing from the supplied set.  A location is z rounded to two
+    decimals, with |Im z| for its imaginary part; it is a float when that
+    part rounds to 0.
     """
     theta0 = params.theta0_for(D_REF, len(bases))
     if theta > theta0 + 1e-12:
         raise PreconditionError(f"theta = {theta} exceeds theta0 = {theta0}")
     points = tuple(float(b) for b in bases)
     rows = []
-    flagged: dict[float, int] = {}
+    flagged: dict[float | complex, int] = {}
     for n in sorted(stores):
         spectra = stores[n]
         region = Region(params.lambda0 + params.epsilon, points, float(n) ** (-theta))
@@ -426,7 +458,8 @@ def verify_exceptional_bound(
                 eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
                 outside = eigs[~region.member_mask(eigs)]
                 for z in outside:
-                    key = round(float(z.real), 2)
+                    re, im = round(float(z.real), 2), round(abs(float(z.imag)), 2)
+                    key = complex(re, im) if im else re
                     flagged[key] = flagged.get(key, 0) + 1
     passed = all(r.passed for r in rows[len(rows) // 2 :])
     worst = min([r for r in rows if not r.passed] or rows, key=lambda r: r.slack)

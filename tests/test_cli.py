@@ -214,6 +214,29 @@ def test_k_max_range_names_the_field_that_sets_it(tmp_path, capsys, drop, field)
         ({"certify.epsilon": 1e-17}, "certify.epsilon"),
         # r0 = ceil(alpha + kappa * log(...)) + 1 is past exact floats
         ({"certify.alpha": 1e300}, "certify.alpha"),
+        # alpha and kappa * log(lambda1 / (lambda0 + epsilon)) cancel past 2**52
+        (
+            {
+                "model.lambda0": 5.586610959624514e16,
+                "model.lambda1": 5.901378524675155e16,
+                "model.plants": [],
+                "certify.epsilon": 5.901378524675155e16,
+                "certify.alpha": 5.901378524675155e16,
+            },
+            "certify.alpha",
+        ),
+        # (lambda0 + epsilon) / lambda0 overflows a float
+        (
+            {
+                "model.lambda0": 7.147166821553729e-162,
+                "model.lambda1": 1.5982241866138397e307,
+                "model.fixed_part": [],
+                "model.plants": [],
+                "certify.epsilon": 1.5982241866138397e307,
+                "certify.alpha": 7.147166821553729e-162,
+            },
+            "certify.epsilon",
+        ),
     ],
 )
 def test_certify_checks_its_section_before_reading_a_store(
@@ -508,6 +531,26 @@ def test_certify_missing_base_exits_5(tmp_path):
     assert "2.0" in text  # the flagged missing base
 
 
+def test_certify_prints_a_conjugate_pair_as_one_location(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from sidestep import cli
+
+    bound = cli.verify_exceptional_bound
+
+    def with_flags(*args):
+        return dataclasses.replace(bound(*args), flagged=(2 + 1j, -3.0, -0.5 + 2.25j))
+
+    monkeypatch.setattr(cli, "verify_exceptional_bound", with_flags)
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert run_cli("certify", "--config", cfg, "--out", out) == 0
+    line = "flagged eigenvalue locations outside region: 2.0±1.0j, -3.0, -0.5±2.25j"
+    assert line in (out / "certify.txt").read_text().splitlines()
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_certify_rows_share_one_shape(tmp_path):
     # with D = 0 nothing annihilates the level-1 term, so the real-trace
     # envelope fails; every row, of every kind, has slack = rhs - lhs
@@ -795,6 +838,52 @@ def test_unreadable_spectrum_store_exits_4(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("certify", "--config", cfg, "--out", out) == 4
     assert "spectra_n400.npz" in capsys.readouterr().err
+
+
+def count_loads(monkeypatch):
+    from sidestep.spectral import Spectra
+
+    names = []
+    load = Spectra.load
+
+    def counted(cls, path):
+        names.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(Spectra, "load", classmethod(counted))
+    return names
+
+
+def test_analyze_and_certify_load_each_store_once(tmp_path, monkeypatch):
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    raw["m"] = 2000
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    names = count_loads(monkeypatch)
+    stores = [f"spectra_n{n}.npz" for n in raw["n_grid"]]
+    for command in ("analyze", "certify"):
+        names.clear()
+        assert run_cli(command, "--config", cfg, "--out", out) == 0
+        assert names == stores, command
+
+
+def test_store_mismatch_at_the_largest_n_writes_nothing(tmp_path, capsys):
+    # every store is checked before any output is written
+    out, other = tmp_path / "out", tmp_path / "other"
+    cfg = write_config(tmp_path, overrides={"m": 400})
+    assert run_cli("run", "--config", cfg, "--out", other) == 0
+    cfg = write_config(tmp_path, overrides={"m": 500})
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    (out / "spectra_n400.npz").write_bytes((other / "spectra_n400.npz").read_bytes())
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    for command in ("analyze", "certify"):
+        assert run_cli(command, "--config", cfg, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "spectra_n400.npz" in err and "m=400" in err and "m=500" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_ill_conditioned_fit_names_its_context(tmp_path, capsys, monkeypatch):

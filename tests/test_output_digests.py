@@ -9,7 +9,9 @@ Regenerating the file is a deliberate re-pin: run
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and give the new digests their own CHANGES.md entry.
+which prints every (case, command, file) entry whose digest or exit code
+changed, or "no entry changed", before it overwrites the file; give the new
+digests their own CHANGES.md entry.
 """
 
 import hashlib
@@ -92,22 +94,33 @@ def run_case(name, work):
     return steps
 
 
+def changes(pinned, fresh):
+    """One line per (case, command, file) entry, or command list, of
+    ``fresh`` that differs from ``pinned``, in case order."""
+    lines = []
+    for name in sorted(set(pinned) | set(fresh)):
+        want, got = pinned.get(name, []), fresh.get(name, [])
+        commands = [w["command"] for w in want], [g["command"] for g in got]
+        if commands[0] != commands[1]:
+            lines.append(f"{name}: commands {commands[1]}, pinned {commands[0]}")
+            continue
+        for w, g in zip(want, got):
+            where = f"{name}: {w['command']}"
+            if g["exit"] != w["exit"]:
+                lines.append(f"{where}: exit {g['exit']}, pinned {w['exit']}")
+            for file in sorted(set(w["files"]) | set(g["files"])):
+                if g["files"].get(file) != w["files"].get(file):
+                    lines.append(f"{where}: {file} differs")
+    return lines
+
+
 def test_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     build = (f"pinned with numpy {pinned['numpy']} on {pinned['platform']}; "
              f"this is numpy {np.__version__} on {platform.platform()}")
     assert sorted(pinned["cases"]) == sorted(CASES)
-    problems = []
-    for name, want in pinned["cases"].items():
-        got = run_case(name, tmp_path / name)
-        assert [g["command"] for g in got] == [w["command"] for w in want], name
-        for w, g in zip(want, got):
-            where = f"{name}: {w['command']}"
-            if g["exit"] != w["exit"]:
-                problems.append(f"{where}: exit {g['exit']}, pinned {w['exit']}")
-            for file in sorted(set(w["files"]) | set(g["files"])):
-                if g["files"].get(file) != w["files"].get(file):
-                    problems.append(f"{where}: {file} differs")
+    got = {name: run_case(name, tmp_path / name) for name in pinned["cases"]}
+    problems = changes(pinned["cases"], got)
     assert not problems, build + "\n" + "\n".join(problems)
 
 
@@ -116,6 +129,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         cases = {name: run_case(name, Path(tmp) / name) for name in CASES}
+    pinned = json.loads(DIGESTS.read_text())["cases"] if DIGESTS.exists() else {}
+    print("\n".join(changes(pinned, cases)) or "no entry changed")
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(
         {"numpy": np.__version__, "platform": platform.platform(), "cases": cases},

@@ -131,6 +131,42 @@ def test_exceptional_params_exact_just_below_2_52():
     assert p.slack > 0
 
 
+positive_floats = st.floats(5e-324, 1.7e308)
+
+
+@settings(deadline=None, max_examples=300)
+@given(positive_floats, positive_floats, positive_floats, positive_floats)
+# alpha and kappa * log(lambda1 / (lambda0 + epsilon)) cancel past 2**52
+@example(5.586610959624514e16, 5.901378524675155e16, 5.901378524675155e16,
+         5.901378524675155e16)
+# (lambda0 + epsilon) / lambda0 overflows, so kappa * gap is 0 * inf
+@example(7.147166821553729e-162, 1.5982241866138397e307, 1.5982241866138397e307,
+         7.147166821553729e-162)
+def test_exceptional_params_positive_slack_or_parameter_error(
+    lambda0, lambda1, epsilon, alpha
+):
+    try:
+        p = exceptional_params(lambda0, lambda1, epsilon, alpha)
+    except ParameterError as exc:
+        assert exc.argument
+        return
+    assert np.isfinite(p.slack) and p.slack > 0
+    assert p.theta0 > 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(positive_floats, positive_floats, st.integers(0, 64), positive_floats)
+# lambda0 + 2 * epsilon / 3 rounds to lambda0 + epsilon / 3: kappa0 divides by 0
+@example(6448241554509397.0, 1.2670061193948326e308, 16, 8.957526868177494e-213)
+def test_sidestep_params_even_degree_or_parameter_error(lambda0, lambda1, j, epsilon):
+    try:
+        p = sidestep_params(lambda0, lambda1, j, epsilon)
+    except ParameterError:
+        return
+    assert p.d_tilde % 2 == 0
+    assert p.widetilde_d_inequality(p.d_tilde) >= 0
+
+
 def test_sidestep_params_kappa0_hand_computed():
     p = sidestep_params(1.0, 4.0, 0, 3.0)
     assert p.epsilon_tilde == pytest.approx(1.0)
@@ -444,7 +480,8 @@ def test_verify_exceptional_bound_judges_the_tail():
 
 def full_redraw_bound(model, stores, params, bases, theta):
     """Reference for ``verify_exceptional_bound`` whose flag pass re-draws
-    every one of the first min(m, 2000) draws of a failing n."""
+    every one of the first min(m, 2000) draws of a failing n; a nonreal
+    location is keyed by its real part and |imaginary part|."""
     points = tuple(float(b) for b in bases)
     rows, flagged = [], {}
     for n in sorted(stores):
@@ -459,6 +496,8 @@ def full_redraw_bound(model, stores, params, bases, theta):
                 eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
                 for z in eigs[~region.member_mask(eigs)]:
                     key = round(float(z.real), 2)
+                    if round(abs(float(z.imag)), 2) != 0:
+                        key = complex(key, round(abs(float(z.imag)), 2))
                     flagged[key] = flagged.get(key, 0) + 1
     passed = all(r.passed for r in rows[len(rows) // 2 :])
     worst = min([r for r in rows if not r.passed] or rows, key=lambda r: r.slack)
@@ -549,23 +588,26 @@ def test_flag_pass_redraws_only_offending_planted_draws(case):
 
 class ComplexOutliers:
     """Draw i holds explicit zeros, 0.5j inside the central disk, a complex
-    outlier 2 + 1j when i % 3 == 1 and -3.0 when i % 4 == 0."""
+    outlier 2 + 1j when i % 6 == 1 and its conjugate when i % 6 == 4, and
+    -3.0 when i % 4 == 0."""
 
     def sample(self, n, seed):
         i = seed.spawn_key[-1]
-        eigs = [0.0, 0.5j] + [2.0 + 1.0j] * (i % 3 == 1) + [0.0] + [-3.0] * (i % 4 == 0)
+        outlier = [2.0 + 1.0j if i % 6 == 1 else 2.0 - 1.0j] * (i % 3 == 1)
+        eigs = [0.0, 0.5j] + outlier + [0.0] + [-3.0] * (i % 4 == 0)
         return SpectrumSample(np.array(eigs, dtype=complex), n=n)
 
 
 def test_flag_pass_on_per_draw_complex_store():
-    # nine draws hold each outlier three times: the tie keeps the order in
-    # which the draws first show them, -3.0 in draw 0
+    # nine draws hold each outlier three times, the conjugate pair as one
+    # location: the tie keeps the order in which the draws first show
+    # them, -3.0 in draw 0
     model = ComplexOutliers()
     stores = {n: draw_spectra(model, n, 9, seed=1) for n in (10, 20)}
     params = exceptional_params(1.0, 4.0, 0.5, 2.0)
     report = check_flag_pass(model, stores, params, [], params.theta0)
     assert not report.passed
-    assert report.flagged == (-3.0, 2.0)
+    assert report.flagged == (-3.0, 2 + 1j)
 
 
 @pytest.mark.parametrize("seed", [2, 8])
