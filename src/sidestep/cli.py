@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    IllConditionedError,
     MissingInputError,
     ParameterError,
     PreconditionError,
@@ -563,8 +562,8 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         [(c.kind, c.n, c.k, c.lhs, c.rhs, c.slack, c.passed) for c in rows],
     )
     lines = [f"certificates: {len(rows)} checks, {len(failures)} failing groups"]
-    if d >= 1 and bases:
-        ann = annihilator(d, bases)
+    ann = annihilator(d, bases)
+    if ann.degree:
         lines.append(
             "annihilator coefficients: "
             + "["
@@ -619,6 +618,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             exp.seed = _seed(args.seed, "--seed")
         out = Path(args.out) if args.out else Path(exp.out_dir)
+        _require(
+            out.is_dir() or not out.exists(),
+            "--out" if args.out else "out_dir",
+            f"{str(out)!r} exists and is not a directory",
+        )
         handler = {
             "run": cmd_run,
             "analyze": cmd_analyze,
@@ -632,10 +636,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingInputError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except IllConditionedError as exc:
-        context = ", ".join(f"{k}={v}" for k, v in exc.diagnostics.items())
-        print(f"numeric failure: {exc} ({context})", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

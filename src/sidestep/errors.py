@@ -50,12 +50,14 @@ class ProbabilityError(SidestepError):
 
 
 class IllConditionedError(SidestepError):
-    """The expansion fit system is too ill-conditioned to trust."""
+    """The expansion fit system is too ill-conditioned to trust; the
+    message ends with the diagnostics, as ``(k=7, n_grid=(100, 200), r=2)``."""
 
     def __init__(self, message: str, condition: float, diagnostics: dict | None = None):
-        super().__init__(message)
         self.condition = condition
         self.diagnostics = diagnostics or {}
+        context = ", ".join(f"{k}={v}" for k, v in self.diagnostics.items())
+        super().__init__(f"{message} ({context})" if context else message)
 
 
 class ParameterError(SidestepError):

@@ -294,8 +294,6 @@ def _pencil_poles(values: np.ndarray, max_poles: int) -> np.ndarray:
         return np.array([])
     rank = int(np.count_nonzero(s >= RANK_TOL * s[0]))
     rank = min(rank, max_poles)
-    if rank == 0:
-        return np.array([])
     core = (u[:, :rank].conj().T @ h1 @ vh[:rank].conj().T) / s[:rank][None, :]
     return np.linalg.eigvals(core)
 
@@ -331,16 +329,11 @@ def detect_bases(
         raise WindowTooShortError(
             f"window of length {len(values)} < 2 * max_bases + 2 = {2 * max_bases + 2}"
         )
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return []
     cov = None
     if noise_cov is not None:
         cov = np.asarray(noise_cov, dtype=float)
         if cov.shape != (len(ks), len(ks)):
             raise ValueError("noise_cov must match the k-window")
-        if not np.any(np.diag(cov) > 0):
-            cov = None
     poles = _pencil_poles(values, max_bases)
     kept: list[float] = []
     for z in poles:

@@ -44,15 +44,8 @@ def trace_horizon(n: int) -> int:
 
 def _rng(seed, *key: int) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        if key:
-            ss = np.random.SeedSequence(
-                entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + key
-            )
-    elif isinstance(seed, (tuple, list)):
-        ss = np.random.SeedSequence(entropy=tuple(int(s) for s in seed), spawn_key=key)
-    else:
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+        seed, key = seed.entropy, tuple(seed.spawn_key) + key
+    ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 

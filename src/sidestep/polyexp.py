@@ -225,8 +225,6 @@ def growth_rate(seq: Sequence[complex], tail_fraction: float = 0.5) -> GrowthEst
     if not 0 < tail_fraction <= 1:
         raise EmptyTailError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     count = int(np.ceil(tail_fraction * len(values)))
-    if count < 1:
-        raise EmptyTailError("tail window selected no indices")
     ks = np.arange(1, len(values) + 1)[-count:]
     tail = np.abs(values[-count:])
     rates = np.where(tail > 0, tail ** (1.0 / ks), 0.0)

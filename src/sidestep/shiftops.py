@@ -85,14 +85,13 @@ def sp_eval(q: ShiftPolynomial, z: complex) -> complex:
 def annihilator(d: int, bases: Sequence[complex]) -> ShiftPolynomial:
     """Ann_{D,L}(z) = prod_{l in L} (z - l)**D, monic of degree D * #L.
 
-    Factors are multiplied in ascending |l| order so the expanded
-    coefficients are deterministic.
+    D = 0 or an empty L gives the empty product, the identity: the plain
+    Markov filter.  Factors are multiplied in ascending |l| order so the
+    expanded coefficients are deterministic.
     """
-    if d < 1:
-        raise ValueError(f"annihilator degree must be >= 1, got {d}")
+    if d < 0:
+        raise ValueError(f"annihilator degree must be >= 0, got {d}")
     bases = [complex(b) for b in bases]
-    if not bases:
-        raise ValueError("base set must be nonempty")
     for i, a in enumerate(bases):
         for b in bases[i + 1 :]:
             if abs(a - b) <= BASE_TOL:
@@ -144,13 +143,10 @@ def _apply_linear_factor(
     A root matching the base (within BASE_TOL) is treated as the base itself,
     so the leading coefficient drops structurally and annihilation is exact.
     """
+    shifted = _shift_poly(coeffs, 1)
     if abs(root - base) <= BASE_TOL:
         # base * (p(k+1) - p(k)): degree drops by exactly one.
-        if len(coeffs) <= 1:
-            return []
-        shifted = _shift_poly(coeffs, 1)
         return [base * (shifted[j] - coeffs[j]) for j in range(len(coeffs) - 1)]
-    shifted = _shift_poly(coeffs, 1)
     return [base * shifted[j] - root * coeffs[j] for j in range(len(coeffs))]
 
 
@@ -187,17 +183,15 @@ def sp_apply_polyexp(q: ShiftPolynomial, p: Polyexponential) -> Polyexponential:
                 bp *= base
             new_terms.append((base, tuple(acc)))
     fs = p.finite_support
-    new_fs: tuple[complex, ...] = ()
-    if fs:
-        m = len(fs)
-        new_fs = tuple(
-            sum(
-                c * fs[j + i]
-                for i, c in enumerate(q.coeffs)
-                if c != 0 and j + i < m
-            )
-            for j in range(m)
+    m = len(fs)
+    new_fs = tuple(
+        sum(
+            c * fs[j + i]
+            for i, c in enumerate(q.coeffs)
+            if c != 0 and j + i < m
         )
+        for j in range(m)
+    )
     return Polyexponential(tuple(new_terms), new_fs)
 
 
@@ -218,8 +212,6 @@ def minimal_annihilating_degree(p: Polyexponential, bases: Sequence[complex]) ->
     if p.finite_support and not covered(0j):
         raise BaseNotCoveredError("finite-support part present but 0 not in base set")
     d = max(1, p.max_degree() + 1)
-    if not p.is_zero:
-        image = sp_apply_polyexp(annihilator(d, base_list), p)
-        if not image.is_zero:
-            raise AssertionError("annihilation verification failed")
+    if not sp_apply_polyexp(annihilator(d, base_list), p).is_zero:
+        raise AssertionError("annihilation verification failed")
     return d

@@ -190,8 +190,7 @@ def mean_real_trace(
         eigs = s.eigenvalues
         re = eigs.real[np.abs(eigs.imag) <= PAIR_TOL]
         re = re[re != 0]
-        if len(re):
-            acc += s.weight * np.sum(re[None, :] ** ks[:, None], axis=1)
+        acc += s.weight * np.sum(re[None, :] ** ks[:, None], axis=1)
     return acc
 
 

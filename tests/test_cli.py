@@ -591,6 +591,22 @@ def test_report_without_outputs_exits_4(tmp_path):
     assert run_cli("report", "--config", cfg, "--out", tmp_path / "o") == 4
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("source", ["--out", "out_dir"])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, command, source):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    if source == "--out":
+        args = ["--config", write_config(tmp_path), "--out", target]
+    else:
+        args = ["--config", write_config(tmp_path, out_dir=str(target))]
+    capsys.readouterr()
+    assert run_cli(command, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source}: ") and "not a directory" in err
+    assert target.read_text() == "not a directory\n"
+
+
 def test_lift_run_writes_spectra(tmp_path):
     adjacency = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
     cfg = write_config(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidestep import (
     Plant,
@@ -135,6 +137,8 @@ def test_fit_ill_conditioned_error():
     with pytest.raises(IllConditionedError) as info:
         fit_expansion(tables, r=3)
     assert info.value.condition > 1e12
+    ns = (10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3)
+    assert str(info.value).endswith(f"(k=1, n_grid={ns}, r=3)")
 
 
 def test_detect_single_base_exact():
@@ -149,6 +153,30 @@ def test_detect_single_base_exact():
 def test_detect_zero_sequence_empty():
     ks = np.arange(4, 21)
     assert detect_bases(np.zeros(len(ks)), ks, 1.0) == []
+    for cov in (np.zeros((len(ks), len(ks))), np.eye(len(ks))):
+        assert detect_bases(np.zeros(len(ks)), ks, 1.0, noise_cov=cov) == []
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-3.5, -2.0, -1.2, 0.5, 1.5, 2.5, 3.0]),
+            st.floats(-10, 10, allow_subnormal=False),
+        ),
+        min_size=0,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    )
+)
+def test_detect_zero_noise_cov_same_as_none(terms):
+    # a zero covariance gives zero amplitude errors: no extra drop
+    ks = np.arange(4, 21)
+    values = sum((a * b ** ks.astype(float) for b, a in terms), np.zeros(len(ks)))
+    zero = np.zeros((len(ks), len(ks)))
+    assert detect_bases(values, ks, 1.0, 4.0, noise_cov=zero) == detect_bases(
+        values, ks, 1.0, 4.0
+    )
 
 
 def test_detect_two_bases_with_noise():

@@ -232,6 +232,7 @@ def test_minimal_annihilating_degree():
         Polyexponential.from_terms({2.0: [0, 0, 1.0]}), [2.0, 3.0]
     ) == 3
     assert minimal_annihilating_degree(Polyexponential.zero(), [1.0]) == 1
+    assert minimal_annihilating_degree(Polyexponential.zero(), []) == 1
 
 
 def test_minimal_annihilating_degree_counts_finite_support():
@@ -268,11 +269,15 @@ def test_zero_polynomial_application():
     assert sp_apply_polyexp(q, p).is_zero
 
 
-def test_annihilator_requires_positive_degree():
+def test_annihilator_empty_product_is_identity():
+    # D = 0 or an empty L: the plain Markov filter
+    identity = ShiftPolynomial.identity()
+    for q in (annihilator(0, [1.0]), annihilator(2, [])):
+        assert (q.coeffs, q.roots) == (identity.coeffs, identity.roots)
     with pytest.raises(ValueError):
-        annihilator(0, [1.0])
-    with pytest.raises(ValueError):
-        annihilator(1, [])
+        annihilator(-1, [1.0])
+    with pytest.raises(DuplicateBaseError):
+        annihilator(0, [2.0, 2.0])
 
 
 # --- properties over random inputs -------------------------------------------

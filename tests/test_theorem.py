@@ -35,6 +35,7 @@ from sidestep import (
 from sidestep.errors import ParameterError, PreconditionError
 from sidestep.estimation import region_expectations
 from sidestep.models import sample_seed
+from sidestep.spectral import mean_real_trace
 from sidestep.theorem import D_REF, BoundReport, Certificate
 
 
@@ -158,6 +159,10 @@ def test_exceptional_params_positive_slack_or_parameter_error(
 @given(positive_floats, positive_floats, st.integers(0, 64), positive_floats)
 # lambda0 + 2 * epsilon / 3 rounds to lambda0 + epsilon / 3: kappa0 divides by 0
 @example(6448241554509397.0, 1.2670061193948326e308, 16, 8.957526868177494e-213)
+# the closed form's ceiling lands on 41, one step past the least degree 80
+@example(0.20047735580877157, 193.09724057608094, 5, 189.23693011317667)
+# the float slack moves in jumps of 32768: the closed form is 7242 steps short
+@example(5.09107438922219e297, 5.0910743892328145e297, 49, 1.7096820786289999e282)
 def test_sidestep_params_even_degree_or_parameter_error(lambda0, lambda1, j, epsilon):
     try:
         p = sidestep_params(lambda0, lambda1, j, epsilon)
@@ -165,6 +170,7 @@ def test_sidestep_params_even_degree_or_parameter_error(lambda0, lambda1, j, eps
         return
     assert p.d_tilde % 2 == 0
     assert p.widetilde_d_inequality(p.d_tilde) >= 0
+    assert p.widetilde_d_inequality(p.d_tilde - 2) < 0
 
 
 def test_sidestep_params_kappa0_hand_computed():
@@ -204,8 +210,7 @@ def test_sidestep_params_d_tilde_minimal_even():
         p = sidestep_params(lam0, lam1, j, eps)
         assert p.d_tilde % 2 == 0
         assert p.widetilde_d_inequality(p.d_tilde) >= 0
-        # minimality up to roundoff when the ratio hits the boundary exactly
-        assert p.widetilde_d_inequality(p.d_tilde - 2) < 1e-9 * (p.alpha_tilde + 1)
+        assert p.widetilde_d_inequality(p.d_tilde - 2) < 0
 
 
 def test_sidestep_params_hypothesis_violation():
@@ -287,6 +292,49 @@ def random_model_samples(rng, count):
         eigs += list(rng.uniform(-lam1, lam1, budget))
         samples.append(sample(eigs, weight=float(w)))
     return samples, lam0, lam1, n
+
+
+@st.composite
+def location_model_cases(draw):
+    """certify_markov arguments whose weighted spectra obey the location
+    model: nonreal pairs inside the central disk, real values in
+    [-lambda1, lambda1], zeros elsewhere."""
+    unit = st.floats(0, 1)
+    lam0 = draw(st.floats(0.5, 2.0))
+    lam1 = lam0 + draw(st.floats(0.5, 6.0))
+    n = draw(st.integers(4, 40))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    samples = []
+    for w in weights:
+        pairs = [
+            lam0 * r * np.exp(1j * (0.05 + (np.pi - 0.1) * a))
+            for r, a in draw(st.lists(st.tuples(unit, unit), max_size=n // 2))
+        ]
+        reals = draw(st.lists(st.floats(-lam1, lam1), max_size=n - 2 * len(pairs)))
+        eigs = [*pairs, *np.conj(pairs), *reals]
+        samples.append(sample(eigs + [0.0] * (n - len(eigs)), weight=w / sum(weights)))
+    points = draw(st.lists(st.floats(-lam1, lam1), max_size=3))
+    bases = [b for i, b in enumerate(points) if min(
+        (abs(b - a) for a in points[:i]), default=1.0) > 1e-9]
+    d = draw(st.sampled_from([0, 2, 4]))
+    k = 2 * draw(st.integers(1, 20))
+    theta, eps = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+    return samples, d, bases, theta, eps, k, n, lam0
+
+
+@settings(deadline=None, max_examples=200)
+@given(location_model_cases())
+# an eigenvalue on the base: rhs is 0 less the rounding of 2.5**24-sized terms
+@example(([sample([2.5, 0.0, 0.0, 0.0])], 4, [2.5], 1.0, 1.0, 24, 4, 1.0))
+def test_certify_markov_passes_under_the_location_model(case):
+    samples, d, bases, theta, eps, k, n, lam0 = case
+    cert = certify_markov(samples, d, bases, theta, eps, k, n, lambda0=lam0)
+    assert cert.passed, cert
+    # real points and real power sums: the annihilated rhs has no imaginary part
+    ann = annihilator(d, bases)
+    mrt = mean_real_trace(samples, np.arange(k, k + ann.degree + 1))
+    rhs = sp_apply_seq(ann, mrt.astype(complex))[0]
+    assert rhs.imag == 0 and rhs.real == cert.rhs
 
 
 def test_certify_markov_randomized_never_fails():
