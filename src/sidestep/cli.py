@@ -5,8 +5,9 @@ schema field "sidestep-config/1" selects the model, dimension grid, sample
 counts, and pipeline parameters; unknown fields are rejected.  Outputs are
 plot-ready CSV files plus short text summaries; identical config and seed
 produce byte-identical files.  ``run`` draws every sample once and keeps
-the spectra in ``spectra_n{n}.npz``; analyze and certify read only that
-store, and reduce their trace tables from it as ``run`` does.
+the spectra in ``spectra_n{n}.npz``; analyze and certify reduce their trace
+tables from that store as ``run`` does and draw nothing, but for certify's
+flag pass, which re-draws the stored draws outside the exceptional region.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
 5 certificate failure.
@@ -72,6 +73,11 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(message, field)
 
 
+def _required(obj: dict, path: str, *keys: str) -> None:
+    for key in keys:
+        _require(key in obj, f"{path}.{key}" if path else key, "required field missing")
+
+
 def _power_is_finite(base: float, k: int) -> bool:
     try:
         return math.isfinite(base**k)
@@ -127,8 +133,7 @@ def _plants(raw, path: str) -> tuple[Plant, ...]:
         here = f"{path}[{i}]"
         _require(isinstance(p, dict), here, "plant must be an object")
         _check_keys(p, {"ell", "amplitude", "level"}, here)
-        for key in ("ell", "amplitude", "level"):
-            _require(key in p, f"{here}.{key}", "required field missing")
+        _required(p, here, "ell", "amplitude", "level")
         ell = _float(p["ell"], f"{here}.ell")
         amplitude = _float(p["amplitude"], f"{here}.amplitude")
         out.append(Plant(ell, amplitude, _int(p["level"], f"{here}.level")))
@@ -174,10 +179,7 @@ class Experiment:
             "",
         )
         _require(raw.get("schema") == SCHEMA, "schema", f"must be {SCHEMA!r}")
-        _require("seed" in raw, "seed", "required field missing")
-        _require("model" in raw, "model", "required field missing")
-        _require("n_grid" in raw, "n_grid", "required field missing")
-        _require("m" in raw, "m", "required field missing")
+        _required(raw, "", "seed", "model", "n_grid", "m")
         self.seed = _seed(raw["seed"], "seed")
         grid = raw["n_grid"]
         _require(
@@ -206,8 +208,7 @@ class Experiment:
                     {"kind", "lambda0", "lambda1", "fixed_part", "plants"},
                     "model",
                 )
-                for key in ("lambda0", "lambda1"):
-                    _require(key in model, f"model.{key}", "required field missing")
+                _required(model, "model", "lambda0", "lambda1")
                 cfg = PlantedConfig(
                     _float(model["lambda0"], "model.lambda0"),
                     _float(model["lambda1"], "model.lambda1"),
@@ -225,11 +226,7 @@ class Experiment:
                     {"kind", "base_adjacency", "hashimoto"},
                     "model",
                 )
-                _require(
-                    "base_adjacency" in model,
-                    "model.base_adjacency",
-                    "required field missing",
-                )
+                _required(model, "model", "base_adjacency")
                 hashimoto = model.get("hashimoto", True)
                 _require(
                     isinstance(hashimoto, bool),
@@ -335,10 +332,11 @@ class Experiment:
                 f"values, fewer than 2*max_bases+2 = {2 * self.max_bases + 2}",
             )
 
-    def check_certify(self) -> tuple[ExceptionalParams, float]:
+    def check_certify(self) -> tuple[ExceptionalParams, float, int]:
         """The rules certify needs beyond check_analysis, checked before any
         store is read; run does not apply them.  Returns the exceptional
-        parameters and theta, theta0_for(max(2, D), len(L)) unless set."""
+        parameters, theta (theta0_for(max(2, D), len(L)) unless set) and the
+        Markov k cap k_max - D*max(1, len(L))."""
         if self.certify is None:
             raise ConfigError("certify section required for the certify command", "certify")
         self.check_analysis()
@@ -375,7 +373,7 @@ class Experiment:
                 field,
                 f"({term}) ** k_max = {base} ** {self.k_max} overflows a float",
             )
-        return params, theta
+        return params, theta, self.k_max - span
 
 
 def load_experiment(path: str | Path) -> Experiment:
@@ -532,7 +530,7 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
 
 
 def cmd_certify(exp: Experiment, out: Path) -> int:
-    params, theta = exp.check_certify()
+    params, theta, k_cap = exp.check_certify()
     lam0, lam1 = exp.model.lambda0, exp.model.lambda1
     d, bases, eps = exp.certify["D"], exp.certify["L"], exp.certify["epsilon"]
     stores = _load_stores(exp, out)
@@ -542,7 +540,6 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
 
     # Markov-type filter certificates, one per dimension, on the first draws.
     markov = []
-    k_cap = exp.k_max - d * max(1, len(bases))
     count = min(exp.m, 200)
     for n, spectra in stores.items():
         k = min(params.even_k_near(n), k_cap - k_cap % 2)
@@ -618,10 +615,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             exp.seed = _seed(args.seed, "--seed")
         out = Path(args.out) if args.out else Path(exp.out_dir)
+        # a file or dangling link on the path would fail later, with exit 3 or 4
+        here = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
         _require(
-            out.is_dir() or not out.exists(),
+            here.is_dir(),
             "--out" if args.out else "out_dir",
-            f"{str(out)!r} exists and is not a directory",
+            f"{str(here)!r} exists and is not a directory",
         )
         handler = {
             "run": cmd_run,

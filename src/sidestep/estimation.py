@@ -47,25 +47,27 @@ class TraceTable:
     ``covariance`` holds the covariance matrix of the mean vector across k
     (sample covariance / m); the trace noise at different k comes from the
     same draws and is strongly correlated, which downstream significance
-    tests need.
+    tests need.  The standard errors are the roots of its diagonal.
     """
 
     n: int
     ks: np.ndarray
     means: np.ndarray
-    stderrs: np.ndarray
-    m: int
     covariance: np.ndarray
 
     def __post_init__(self):
-        for name in ("ks", "means", "stderrs", "covariance"):
+        for name in ("ks", "means", "covariance"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.stderrs < 0):
-            raise ValueError("standard errors must be nonnegative")
-        if len(self.ks) != len(self.means) or len(self.ks) != len(self.stderrs):
-            raise ValueError("ks, means, stderrs must have equal length")
+        k = len(self.ks)
+        if (self.means.shape != (k,) or self.covariance.shape != (k, k)
+                or np.any(np.diag(self.covariance) < 0)):
+            raise ValueError("means and covariance must fit ks, with no negative variance")
+
+    @property
+    def stderrs(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.covariance))
 
 
 def _real_powers(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -143,23 +145,22 @@ def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
         for lo, hi in blocks:
             d = _draw_power_sums(spectra, lo, hi, ks) - means
             scatter += np.einsum("ik,il->kl", d, d)
-    cov = scatter / (m - 1) / m
-    stderrs = np.sqrt(np.diag(cov))
-    bad = ~(np.isfinite(means) & np.isfinite(stderrs))
+    table = TraceTable(n, ks, means, scatter / (m - 1) / m)
+    bad = ~(np.isfinite(means) & np.isfinite(table.stderrs))
     if bad.any():
         k = int(np.argmax(bad))
         raise SidestepError(
             f"trace table at n={n} is not finite at k={ks[k]} (mean {means[k]:.6g}, "
-            f"stderr {stderrs[k]:.6g}): the power sums overflow a float"
+            f"stderr {table.stderrs[k]:.6g}): the power sums overflow a float"
         )
-    return TraceTable(n, ks, means, stderrs, m, cov)
+    return table
 
 
 def exact_trace_table(model, n: int, k_max: int) -> TraceTable:
     """Zero-noise table from a model's closed-form expected trace."""
     ks = np.arange(1, k_max + 1)
     means = np.array([model.exact_trace(n, int(k)) for k in ks])
-    return TraceTable(n, ks, means, np.zeros(k_max), 0, np.zeros((k_max, k_max)))
+    return TraceTable(n, ks, means, np.zeros((k_max, k_max)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +177,6 @@ class ExpansionEstimate:
     coeffs: np.ndarray        # shape (len(ks), r); column i is c_i(k)
     residuals: np.ndarray     # weighted residual norm per k
     condition: float
-    n_grid: tuple[int, ...]
     level_covs: tuple         # r matrices of shape (len(ks), len(ks))
 
     def level(self, i: int) -> np.ndarray:
@@ -193,7 +193,6 @@ class ExpansionEstimate:
             self.coeffs[mask],
             self.residuals[mask],
             self.condition,
-            self.n_grid,
             tuple(c[np.ix_(mask, mask)] for c in self.level_covs),
         )
 
@@ -201,6 +200,7 @@ class ExpansionEstimate:
 def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     """Weighted least squares of the trace means against (1, 1/n, ..., n**-(r-1)).
 
+    Every table must hold the same ks, or WindowTooShortError is raised.
     Weights are 1/stderr**2, unit where stderr is zero.  Tables are sorted
     by n internally, so the coefficients do not depend on input order.
     """
@@ -212,11 +212,13 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
         raise ValueError("duplicate dimensions in the table list")
     if len(ns) < r + 1:
         raise ValueError(f"need at least r+1 = {r + 1} dimensions, got {len(ns)}")
-    k_lo = max(int(t.ks.min()) for t in tables)
-    k_hi = min(int(t.ks.max()) for t in tables)
-    if k_hi < k_lo:
-        raise WindowTooShortError("tables share no common k-window")
-    ks = np.arange(k_lo, k_hi + 1)
+    ks = tables[0].ks
+    if any(not np.array_equal(t.ks, ks) for t in tables):
+        raise WindowTooShortError("tables do not share one k-window")
+    # C-contiguous (k, n): the einsum of the noise floor below sums in an
+    # order, hence to bits, that depends on the layout of its operands
+    means = np.stack([t.means for t in tables], axis=1)
+    stderrs = np.stack([t.stderrs for t in tables], axis=1)
     x = 1.0 / np.asarray(ns, dtype=float)
     design = np.vander(x, r, increasing=True)
     col_scale = np.linalg.norm(design, axis=0)
@@ -224,10 +226,7 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     residuals = np.zeros(len(ks))
     solve_maps = np.zeros((len(ks), r, len(ns)))
     worst_cond = 0.0
-    offsets = [int(np.searchsorted(t.ks, k_lo)) for t in tables]
-    for row, k in enumerate(ks):
-        y = np.array([t.means[off + row] for t, off in zip(tables, offsets)])
-        se = np.array([t.stderrs[off + row] for t, off in zip(tables, offsets)])
+    for row, (k, y, se) in enumerate(zip(ks, means, stderrs)):
         w = np.where(se > 0, 1.0 / np.where(se > 0, se, 1.0) ** 2, 1.0)
         sw = np.sqrt(w)
         a = design * sw[:, None]
@@ -248,26 +247,19 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
             np.linalg.pinv(a / col_scale) * sw[None, :]
         ) / col_scale[:, None]
     covs = [np.zeros((len(ks), len(ks))) for _ in range(r)]
-    for t_idx, (table, off) in enumerate(zip(tables, offsets)):
-        block = table.covariance[off : off + len(ks), off : off + len(ks)]
+    for t_idx, table in enumerate(tables):
         for i in range(r):
             gain = solve_maps[:, i, t_idx]
-            covs[i] += np.outer(gain, gain) * block
+            covs[i] += np.outer(gain, gain) * table.covariance
     # floating-point floor of the fit itself: a coefficient that sits far
     # below another column's contribution carries coherent roundoff of this
     # size, which downstream detection must not mistake for signal
-    means = np.array(
-        [[abs(t.means[off + row]) for t, off in zip(tables, offsets)]
-         for row in range(len(ks))]
-    )
     for i in range(r):
         num_scale = NUM_EPS * np.einsum(
-            "kn,kn->k", np.abs(solve_maps[:, i, :]), means
+            "kn,kn->k", np.abs(solve_maps[:, i, :]), np.abs(means)
         )
         covs[i] += np.outer(num_scale, num_scale)
-    return ExpansionEstimate(
-        r, ks, coeffs, residuals, worst_cond, tuple(ns), tuple(covs)
-    )
+    return ExpansionEstimate(r, ks, coeffs, residuals, worst_cond, tuple(covs))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ counter-based Philox generator keyed by seed and sample/edge indices.
 ``draw_spectra`` draws i = 0..m-1 of a dimension once, planted draws a block
 at a time through a numpy copy of that stream (``sample_uniforms``, which
 takes numpy's (seed, n) SeedSequence pool and hashes only each draw's index
-words); its ``Spectra`` store feeds every statistic, so no draw is made twice.
+words).  Its ``Spectra`` store feeds every statistic; only the flag pass of
+``theorem.verify_exceptional_bound`` samples again, the stored draws outside
+its region.
 """
 
 from __future__ import annotations
@@ -248,22 +250,18 @@ class PlantedConfig:
         for p in self.plants:
             if not self.lambda0 < abs(p.ell) <= self.lambda1:
                 raise ValueError(f"plant base {p.ell} outside (lambda0, lambda1]")
-        n_min = grid[0]
-        for p in self.plants:
-            if p.amplitude / n_min**p.level > 1:
-                raise ProbabilityError(
-                    f"plant ({p.ell}, {p.amplitude}, {p.level}) has probability > 1 at n={n_min}"
-                )
-        if len(self.fixed_part) + len(self.plants) > n_min:
-            raise ValueError("fixed part and plants exceed the smallest dimension")
+        _plant_probabilities(self, grid[0])
 
 
 def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
     if n < len(cfg.fixed_part) + len(cfg.plants):
         raise ValueError(f"n={n} too small for the configured spectrum")
     probs = [p.amplitude / n**p.level for p in cfg.plants]
-    if any(q > 1 for q in probs):
-        raise ProbabilityError(f"plant probability C/n^j > 1 at n={n}")
+    for p, q in zip(cfg.plants, probs):
+        if q > 1:
+            raise ProbabilityError(
+                f"plant ({p.ell}, {p.amplitude}, {p.level}) has probability > 1 at n={n}"
+            )
     return probs
 
 

@@ -594,17 +594,22 @@ def test_report_without_outputs_exits_4(tmp_path):
 @pytest.mark.parametrize("command", ["run", "analyze"])
 @pytest.mark.parametrize("source", ["--out", "out_dir"])
 def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, command, source):
-    target = tmp_path / "taken"
-    target.write_text("not a directory\n")
-    if source == "--out":
-        args = ["--config", write_config(tmp_path), "--out", target]
-    else:
-        args = ["--config", write_config(tmp_path, out_dir=str(target))]
-    capsys.readouterr()
-    assert run_cli(command, *args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {source}: ") and "not a directory" in err
-    assert target.read_text() == "not a directory\n"
+    # a regular file, a path below one, and a dangling symlink
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")
+    for target in (taken, taken / "sub", link):
+        if source == "--out":
+            args = ["--config", write_config(tmp_path), "--out", target]
+        else:
+            args = ["--config", write_config(tmp_path, out_dir=str(target))]
+        capsys.readouterr()
+        assert run_cli(command, *args) == 2, target
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {source}: ") and "not a directory" in err
+        assert taken.read_text() == "not a directory\n"
+        assert link.is_symlink() and not (tmp_path / "missing").exists()
 
 
 def test_lift_run_writes_spectra(tmp_path):

@@ -19,7 +19,10 @@ from sidestep import (
     mc_expected_trace,
     planted_exact_trace,
 )
+from sidestep.cli import Experiment
 from sidestep.errors import IllConditionedError, WindowTooShortError
+from sidestep.estimation import NUM_EPS, ExpansionEstimate
+from test_output_digests import CASES as DIGEST_CASES
 
 
 def demo_model(n_grid=(100, 200, 400, 800)):
@@ -128,10 +131,141 @@ def test_fit_requires_enough_dimensions():
         fit_expansion(oracle_tables(model), r=2)
 
 
+def reference_fit(tables, r):
+    """Reference for ``fit_expansion``: the fit on the k-window shared by
+    all tables, looked up row by row in each table."""
+    tables = sorted(tables, key=lambda t: t.n)
+    ns = [t.n for t in tables]
+    k_lo = max(int(t.ks.min()) for t in tables)
+    k_hi = min(int(t.ks.max()) for t in tables)
+    ks = np.arange(k_lo, k_hi + 1)
+    x = 1.0 / np.asarray(ns, dtype=float)
+    design = np.vander(x, r, increasing=True)
+    col_scale = np.linalg.norm(design, axis=0)
+    coeffs = np.zeros((len(ks), r))
+    residuals = np.zeros(len(ks))
+    solve_maps = np.zeros((len(ks), r, len(ns)))
+    worst_cond = 0.0
+    offsets = [int(np.searchsorted(t.ks, k_lo)) for t in tables]
+    for row, k in enumerate(ks):
+        y = np.array([t.means[off + row] for t, off in zip(tables, offsets)])
+        se = np.array([t.stderrs[off + row] for t, off in zip(tables, offsets)])
+        w = np.where(se > 0, 1.0 / np.where(se > 0, se, 1.0) ** 2, 1.0)
+        sw = np.sqrt(w)
+        a = design * sw[:, None]
+        cond = float(np.linalg.cond(a))
+        worst_cond = max(worst_cond, cond)
+        if cond > 1e12:
+            raise IllConditionedError(
+                f"fit system condition {cond:.3e} exceeds 1e12 at k={k}",
+                condition=cond,
+                diagnostics={"k": int(k), "n_grid": tuple(ns), "r": r},
+            )
+        sol, *_ = np.linalg.lstsq(a / col_scale, y * sw, rcond=None)
+        c = sol / col_scale
+        coeffs[row] = c
+        residuals[row] = float(np.linalg.norm((y - design @ c) * sw))
+        solve_maps[row] = (
+            np.linalg.pinv(a / col_scale) * sw[None, :]
+        ) / col_scale[:, None]
+    covs = [np.zeros((len(ks), len(ks))) for _ in range(r)]
+    for t_idx, (table, off) in enumerate(zip(tables, offsets)):
+        block = table.covariance[off : off + len(ks), off : off + len(ks)]
+        for i in range(r):
+            gain = solve_maps[:, i, t_idx]
+            covs[i] += np.outer(gain, gain) * block
+    means = np.array(
+        [[abs(t.means[off + row]) for t, off in zip(tables, offsets)]
+         for row in range(len(ks))]
+    )
+    for i in range(r):
+        num_scale = NUM_EPS * np.einsum(
+            "kn,kn->k", np.abs(solve_maps[:, i, :]), means
+        )
+        covs[i] += np.outer(num_scale, num_scale)
+    return ExpansionEstimate(r, ks, coeffs, residuals, worst_cond, tuple(covs))
+
+
+def fit_bytes(fit, tables, r):
+    """The fit's ks, coefficients, residuals, condition and level
+    covariances as bytes, or the ill-conditioning message."""
+    try:
+        est = fit(tables, r)
+    except IllConditionedError as exc:
+        return str(exc)
+    arrays = [est.ks.astype(np.int64), est.coeffs, est.residuals, *est.level_covs]
+    return [a.tobytes() for a in arrays] + [np.float64(est.condition).tobytes()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.integers(2, 10**6), min_size=2, max_size=6, unique=True),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-9, 9), min_size=6, max_size=6),
+)
+def test_fit_matches_window_reference(ns, k_max, r, seed, scales):
+    # each table's mean scale, noise rank (0: a zero covariance) and noise
+    # scale vary by table; the bytes must be those of the reference
+    r = min(r, len(ns) - 1)
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, k_max + 1)
+    tables = []
+    for n, scale in zip(ns, scales):
+        means = rng.normal(size=k_max) * 10.0 ** rng.integers(-9, 10, size=k_max)
+        means *= 10.0**scale
+        factor = rng.normal(size=(k_max, int(rng.integers(0, k_max + 1))))
+        cov = 10.0 ** rng.integers(-20, 4) * (factor @ factor.T)
+        tables.append(TraceTable(n, ks, means, cov))
+    order = rng.permutation(len(tables))
+    tables = [tables[i] for i in order]
+    assert fit_bytes(fit_expansion, tables, r) == fit_bytes(reference_fit, tables, r)
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_fit_matches_window_reference_on_digest_configs(case):
+    exp = Experiment(DIGEST_CASES[case][0])
+    tables = [
+        mc_expected_trace(draw_spectra(exp.model, n, exp.m, exp.seed), exp.k_max)
+        for n in exp.n_grid
+    ]
+    want = fit_bytes(reference_fit, tables, exp.fit_r)
+    assert not isinstance(want, str)
+    assert fit_bytes(fit_expansion, tables, exp.fit_r) == want
+
+
+def test_fit_requires_one_k_window():
+    model = demo_model()
+    tables = oracle_tables(model)
+    tables[1] = exact_trace_table(model, tables[1].n, 19)
+    with pytest.raises(WindowTooShortError):
+        fit_expansion(tables, 2)
+    # the same length on other ks is another window too
+    t = tables[1]
+    tables[1] = TraceTable(t.n, t.ks + 1, t.means, t.covariance)
+    with pytest.raises(WindowTooShortError):
+        fit_expansion(tables, 2)
+
+
+def test_trace_table_rejects_covariance_off_the_window():
+    ks, means = np.arange(1, 4), np.ones(3)
+    with pytest.raises(ValueError):
+        TraceTable(10, ks, means, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        TraceTable(10, ks, means, np.zeros(3))
+    with pytest.raises(ValueError):
+        TraceTable(10, ks, np.ones(4), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        TraceTable(10, ks, means, np.diag([1.0, -1e-30, 1.0]))
+    table = TraceTable(10, ks, means, np.diag([4.0, 0.0, 9.0]))
+    assert table.stderrs.tolist() == [2.0, 0.0, 3.0]
+
+
 def test_fit_ill_conditioned_error():
     # nearly coincident dimensions push the 1/n system past the cap
     tables = [
-        TraceTable(n, np.arange(1, 6), np.ones(5), np.zeros(5), 0, np.zeros((5, 5)))
+        TraceTable(n, np.arange(1, 6), np.ones(5), np.zeros((5, 5)))
         for n in (10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3)
     ]
     with pytest.raises(IllConditionedError) as info:

@@ -83,6 +83,15 @@ def test_planted_config_validation():
         PlantedConfig(1.0, 4.0, (2,), (), (Plant(2.0, 5.0, 1),))
 
 
+def test_planted_config_names_the_plant_past_probability_one():
+    # only the second plant exceeds probability 1, at the smallest n
+    plants = (Plant(2.0, 5.0, 1), Plant(3.0, 50.0, 1))
+    with pytest.raises(ProbabilityError, match=r"^plant \(3.0, 50.0, 1\) has probability > 1 at n=10$"):
+        PlantedConfig(1.0, 4.0, (10, 100), (), plants)
+    with pytest.raises(ValueError, match="^n=2 too small for the configured spectrum$"):
+        PlantedConfig(1.0, 4.0, (2, 4), (0.1, 0.2), (Plant(2.0, 1.0, 1),))
+
+
 def test_planted_exact_trace_closed_form():
     cfg = demo_config()
     assert planted_exact_trace(cfg, 100, 3) == pytest.approx(0.525)

@@ -449,7 +449,7 @@ def test_real_trace_bound_rows_match_per_row_reference(seed):
     for n in (400, 100, 200):
         means = rng.normal(size=k_max) * 2.0**ks + 0.5**ks
         stderrs = np.abs(rng.normal(size=k_max)) * (rng.random(k_max) < 0.7)
-        tables.append(TraceTable(n, ks, means, stderrs, 100, np.diag(stderrs**2)))
+        tables.append(TraceTable(n, ks, means, np.diag(stderrs**2)))
     d, bases = [(0, []), (2, [2.0]), (2, [2.0, -1.5]), (4, [3.0])][seed % 4]
     cert = certify_real_trace_bound(tables, bases, d, 2, [], 1.0, 4.0)
     a, b, rows = _envelope_per_row(tables, bases, d, 2, 1.0, 4.0)
