@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DuplicateBaseError,
     MissingInputError,
     ParameterError,
     PreconditionError,
@@ -46,7 +47,7 @@ from .models import (
     draw_spectra,
     trace_horizon,
 )
-from .polyexp import BASE_TOL, Polyexponential
+from .polyexp import Polyexponential
 from .shiftops import annihilator
 from .spectral import Spectra
 from .theorem import (
@@ -286,11 +287,10 @@ class Experiment:
             bases = cert.get("L", [])
             _require(isinstance(bases, list), "certify.L", "must be a list")
             bases = tuple(_float(x, f"certify.L[{i}]") for i, x in enumerate(bases))
-            _require(
-                all(abs(a - b) > BASE_TOL for i, a in enumerate(bases) for b in bases[:i]),
-                "certify.L",
-                f"entries must be more than {BASE_TOL} apart, got {list(bases)}",
-            )
+            try:
+                ann = annihilator(d, bases)
+            except DuplicateBaseError as exc:
+                raise ConfigError(str(exc), "certify.L") from exc
             theta = None
             if "theta" in cert:
                 theta = _float(cert["theta"], "certify.theta")
@@ -301,6 +301,7 @@ class Experiment:
                 "epsilon": eps,
                 "alpha": alpha,
                 "theta": theta,
+                "annihilator": ann,
             }
 
         self.out_dir = raw.get("out_dir", "out")
@@ -336,7 +337,8 @@ class Experiment:
         """The rules certify needs beyond check_analysis, checked before any
         store is read; run does not apply them.  Returns the exceptional
         parameters, theta (theta0_for(max(2, D), len(L)) unless set) and the
-        Markov k cap k_max - D*max(1, len(L))."""
+        Markov k cap k_max - D*len(L), the degree of Ann_{D,L}: a Markov
+        row at k reads the traces at k..k+D*len(L)."""
         if self.certify is None:
             raise ConfigError("certify section required for the certify command", "certify")
         self.check_analysis()
@@ -346,11 +348,11 @@ class Experiment:
             params = exceptional_params(lam0, lam1, eps, self.certify["alpha"])
         except ParameterError as exc:  # the section's checks leave epsilon or alpha
             raise ConfigError(str(exc), f"certify.{exc.argument}") from exc
-        span = d * max(1, len(bases))
+        span = self.certify["annihilator"].degree
         _require(
             self.k_max >= span + 2,
             "certify.D",
-            f"D*max(1, len(L)) = {span} leaves no even k >= 2 in the trace "
+            f"D*len(L) = {span} leaves no even k >= 2 in the trace "
             f"window k=1..{self.k_max}; need k_max >= {span + 2}",
         )
         # verify_exceptional_bound's bound
@@ -534,6 +536,8 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     lam0, lam1 = exp.model.lambda0, exp.model.lambda1
     d, bases, eps = exp.certify["D"], exp.certify["L"], exp.certify["epsilon"]
     stores = _load_stores(exp, out)
+    # the fit and detection feed only EnvelopeCertificate.d_sufficient and
+    # the fit's exit 3; ROADMAP item 2 drops them after item 1
     tables, _, levels = analyze_levels(
         stores, exp.k_max, exp.fit_r, lam0, lam1, exp.max_bases
     )
@@ -559,7 +563,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         [(c.kind, c.n, c.k, c.lhs, c.rhs, c.slack, c.passed) for c in rows],
     )
     lines = [f"certificates: {len(rows)} checks, {len(failures)} failing groups"]
-    ann = annihilator(d, bases)
+    ann = exp.certify["annihilator"]
     if ann.degree:
         lines.append(
             "annihilator coefficients: "

@@ -306,9 +306,10 @@ def detect_bases(
     value, and stay below lambda1 + LAMBDA1_SLACK.  Amplitudes come from a
     linear least-squares fit of pure exponentials (constant coefficients).
     A base is dropped when its amplitude falls below AMPLITUDE_FLOOR times
-    the largest fitted amplitude, or, when ``noise_cov`` (covariance of the
-    input sequence across the window) is given, when the amplitude is not
-    NOISE_SIGMA of its own propagated standard error away from zero; Monte
+    the largest fitted amplitude, or when the amplitude is not NOISE_SIGMA
+    of its own propagated standard error away from zero, under
+    ``noise_cov``, the covariance of the input sequence across the window
+    (None is zero noise, which drops no base); Monte
     Carlo error in a fitted coefficient sequence is coherent across k, so
     it masquerades as a tiny genuine exponential and has to be rejected
     statistically.  An empty list is a valid outcome.
@@ -321,11 +322,10 @@ def detect_bases(
         raise WindowTooShortError(
             f"window of length {len(values)} < 2 * max_bases + 2 = {2 * max_bases + 2}"
         )
-    cov = None
-    if noise_cov is not None:
-        cov = np.asarray(noise_cov, dtype=float)
-        if cov.shape != (len(ks), len(ks)):
-            raise ValueError("noise_cov must match the k-window")
+    window = (len(ks), len(ks))
+    cov = np.zeros(window) if noise_cov is None else np.asarray(noise_cov, dtype=float)
+    if cov.shape != window:
+        raise ValueError("noise_cov must match the k-window")
     poles = _pencil_poles(values, max_bases)
     kept: list[float] = []
     for z in poles:
@@ -344,12 +344,9 @@ def detect_bases(
         z = np.array(kept, dtype=float)
         design = z[None, :] ** ks[:, None]
         amps, *_ = np.linalg.lstsq(design, values, rcond=None)
-        if cov is not None:
-            # propagated amplitude covariance P cov P'
-            pinv = np.linalg.pinv(design)
-            amp_se = np.sqrt(np.maximum(np.diag(pinv @ cov @ pinv.T), 0.0))
-        else:
-            amp_se = np.zeros(len(kept))
+        # propagated amplitude covariance P cov P'
+        pinv = np.linalg.pinv(design)
+        amp_se = np.sqrt(np.maximum(np.diag(pinv @ cov @ pinv.T), 0.0))
         c_min = AMPLITUDE_FLOOR * float(np.max(np.abs(amps)))
         drop = [
             i

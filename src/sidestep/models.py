@@ -269,9 +269,8 @@ def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
     """Draw one spectrum: F plus independent Bernoulli plants, zeros elsewhere."""
     probs = _plant_probabilities(cfg, n)
     eigs = list(cfg.fixed_part)
-    if cfg.plants:
-        u = _rng(seed).random(len(cfg.plants))
-        eigs += [p.ell for p, x, q in zip(cfg.plants, u, probs) if x < q]
+    u = _rng(seed).random(len(cfg.plants))
+    eigs += [p.ell for p, x, q in zip(cfg.plants, u, probs) if x < q]
     return SpectrumSample(eigs, n=n)
 
 
@@ -290,14 +289,13 @@ def planted_block(
     fixed = len(cfg.fixed_part)
     mask = np.empty((count, len(row)), dtype=bool)
     mask[:, :fixed] = row[:fixed] != 0
-    if cfg.plants:
-        u = sample_uniforms(seed, n, start, count, len(probs))
-        want = _rng(sample_seed(seed, n, start)).random(len(probs))
-        if u[0].tobytes() != want.tobytes():
-            raise StreamMismatchError(
-                f"block uniforms differ from the per-draw stream at n={n}, i={start}"
-            )
-        mask[:, fixed:] = u < probs
+    u = sample_uniforms(seed, n, start, count, len(probs))
+    want = _rng(sample_seed(seed, n, start)).random(len(probs))
+    if u[0].tobytes() != want.tobytes():
+        raise StreamMismatchError(
+            f"block uniforms differ from the per-draw stream at n={n}, i={start}"
+        )
+    mask[:, fixed:] = u < probs
     return np.broadcast_to(row, mask.shape)[mask], np.count_nonzero(mask, axis=1)
 
 

@@ -227,5 +227,5 @@ def growth_rate(seq: Sequence[complex], tail_fraction: float = 0.5) -> GrowthEst
     count = int(np.ceil(tail_fraction * len(values)))
     ks = np.arange(1, len(values) + 1)[-count:]
     tail = np.abs(values[-count:])
-    rates = np.where(tail > 0, tail ** (1.0 / ks), 0.0)
+    rates = tail ** (1.0 / ks)
     return GrowthEstimate(float(np.max(rates)), range(int(ks[0]), int(ks[-1]) + 1))

@@ -164,13 +164,10 @@ def sp_apply_polyexp(q: ShiftPolynomial, p: Polyexponential) -> Polyexponential:
             work = list(coeffs)
             for root in q.roots:
                 work = _apply_linear_factor(root, base, work)
-                if not work:
-                    break
-            if work:
-                lead = q.coeffs[-1]
-                if lead != 1:
-                    work = [lead * c for c in work]
-                new_terms.append((base, tuple(work)))
+            lead = q.coeffs[-1]
+            if lead != 1:
+                work = [lead * c for c in work]
+            new_terms.append((base, tuple(work)))
         else:
             acc = [0j] * len(coeffs)
             bp = 1.0 + 0j

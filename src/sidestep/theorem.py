@@ -251,6 +251,13 @@ class Certificate:
         return self.rhs - self.lhs
 
 
+def _real_points(bases: Sequence[complex]) -> tuple[float, ...]:
+    """The real parts of ``bases``, each within 1e-12 of the real axis."""
+    if any(abs(complex(b).imag) > 1e-12 for b in bases):
+        raise PreconditionError(f"bases must be real, got {list(bases)}")
+    return tuple(complex(b).real for b in bases)
+
+
 def certify_markov(
     samples: Sequence[SpectrumSample],
     d: int,
@@ -280,9 +287,7 @@ def certify_markov(
         raise PreconditionError(f"k must be even and >= 2, got {k}")
     if theta <= 0 or epsilon <= 0:
         raise PreconditionError("theta and epsilon must be positive")
-    if any(abs(complex(b).imag) > 1e-12 for b in bases):
-        raise PreconditionError(f"bases must be real, got {list(bases)}")
-    points = tuple(float(np.real(b)) for b in bases)
+    points = _real_points(bases)
     region = Region(lambda0 + epsilon, points, float(n) ** (-theta))
     _, eout = ein_eout(samples, region)
     ann = annihilator(d, points)
@@ -336,10 +341,11 @@ def certify_real_trace_bound(
     certificate records whether d reaches the minimal annihilating degree of
     the detected structure ``levels`` (bases per fitted level, as returned
     by ``analyze_levels``); running below it is allowed and expected to fail.
+    Bases are real as in ``certify_markov``: |Im| <= 1e-12, real part kept.
     """
     if d < 0:
         raise PreconditionError(f"annihilator degree must be >= 0, got {d}")
-    points = tuple(float(b) for b in bases)
+    points = _real_points(bases)
     ann = annihilator(d, points)
     d_sufficient = d >= 1 and (
         not points
@@ -503,6 +509,12 @@ def verify_sidestep(
     come from ``params``; nothing is drawn.  At desk scale theta defaults
     to 0.3 for window isolation; whether theta <= theta1 is recorded in the
     context rather than enforced, with the m of the smallest-n store.
+
+    Check (b) can fail by chance: on the planted model (lambda0 1,
+    lambda1 4, fixed 0.5, plant ell 2, C 5, level 1) at m = 4000 over
+    n_grid (100, 200, 400) with ``sidestep_params(1.0, 4.0, 1, 0.5)``,
+    4 of seeds 0-39 fail (10, 19, 26, 33), each amplitude missing its
+    count by more than AMPLITUDE_MATCH_TOL.
     """
     n_grid = sorted(stores)
     # one remainder level beyond j when the grid affords it

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidestep.cli import main
+from sidestep.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BASE_CONFIG = {
@@ -249,6 +252,38 @@ def test_certify_checks_its_section_before_reading_a_store(
         store.unlink()
     assert run_cli("certify", "--config", cfg, "--out", out) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    d=st.sampled_from([0, 2, 4, 6, 8]),
+    bases=st.lists(
+        st.sampled_from([-3.0, -1.5, 1.5, 2.0, 2.5, 3.5]), max_size=3, unique=True
+    ),
+    k_max=st.integers(7, 22),
+)
+def test_certify_window_fits_the_annihilator_degree(d, bases, k_max):
+    # a Markov row at k reads the traces at k..k + D*len(L), and an empty L
+    # is the identity, so the window rule and the k cap follow D*len(L)
+    from sidestep.cli import Experiment
+
+    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
+    del raw["detect"]
+    raw["k_max"] = k_max
+    raw["certify"].update(D=d, L=bases)
+    exp = Experiment(raw)
+    span = d * len(bases)
+    if k_max < span + 2:
+        with pytest.raises(ConfigError) as info:
+            exp.check_certify()
+        assert info.value.field == "certify.D"
+        return
+    params, _, cap = exp.check_certify()
+    if not bases:
+        assert cap == k_max
+    for n in exp.n_grid:
+        k = min(params.even_k_near(n), cap - cap % 2)
+        assert k % 2 == 0 and k >= 2 and k + span <= k_max
 
 
 @pytest.mark.parametrize("above", [False, True])

@@ -1,0 +1,94 @@
+"""Static hygiene of the package source, read with the stdlib ``ast``: no
+module imports a name it does not use, and no module-level private
+function or constant goes unreferenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sidestep"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree):
+    """Every bare name a module reads, including those inside quoted
+    annotations such as ``-> "ShiftPolynomial"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree, definition=None):
+    """Names a module reads as bare names, attributes or imports, outside
+    the node that defines ``definition``."""
+    skip = set()
+    if definition is not None:
+        skip = {id(n) for n in ast.walk(definition)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if id(node) not in skip:
+                yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    unreferenced = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(
+                name in _references(other, node if other is tree else None)
+                for other in trees.values()
+            ):
+                unreferenced.append(f"{module}:{name}")
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

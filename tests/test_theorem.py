@@ -269,6 +269,24 @@ def test_certify_markov_preconditions():
         certify_markov([s], 2, [1 + 1j, 1 - 1j], 0.3, 0.5, 4, 1, lambda0=1.0)
 
 
+def test_certificates_share_one_real_point_rule():
+    # both certificates keep the real part of a point within 1e-12 of the
+    # real axis and refuse one further off
+    s = sample([1.8, 0.3, -0.2, 0.0])
+    model = demo_model()
+    tables = [exact_trace_table(model, n, 20) for n in model.n_grid]
+    levels = detect_levels(fit_expansion(tables, 2), model.lambda0, model.lambda1)
+    lam0, lam1 = model.lambda0, model.lambda1
+    markov = certify_markov([s], 2, [2 + 0j], 0.3, 0.5, 4, 4, lambda0=1.0)
+    assert markov == certify_markov([s], 2, [2.0], 0.3, 0.5, 4, 4, lambda0=1.0)
+    envelope = certify_real_trace_bound(tables, [2 + 0j], 2, 2, levels, lam0, lam1)
+    assert envelope == certify_real_trace_bound(tables, [2.0], 2, 2, levels, lam0, lam1)
+    with pytest.raises(PreconditionError):
+        certify_markov([s], 2, [2 + 1j], 0.3, 0.5, 4, 4, lambda0=1.0)
+    with pytest.raises(PreconditionError):
+        certify_real_trace_bound(tables, [2 + 1j], 2, 2, levels, lam0, lam1)
+
+
 def random_model_samples(rng, count):
     """Weighted spectra obeying the eigenvalue-location model."""
     lam0 = rng.uniform(0.5, 2.0)
