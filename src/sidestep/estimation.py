@@ -15,8 +15,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import DETECT_K_MIN, trace_horizon
 from .errors import IllConditionedError, SidestepError, WindowTooShortError
-from .models import trace_horizon
 from .spectral import Region, Spectra
 
 # Matrix-pencil settings.
@@ -27,9 +27,6 @@ AMPLITUDE_FLOOR = 1e-3   # relative to the largest fitted amplitude
 LAMBDA1_SLACK = 0.05     # detected |base| may exceed lambda1 by this much
 NOISE_SIGMA = 4.0        # contribution must exceed this many stderr units
 NUM_EPS = 1e-13          # relative float-noise floor of the expansion fit
-
-# Detection windows start here to damp transient finite-support parts.
-DETECT_K_MIN = 4
 
 # Draws per reduction block: bounds the temporaries, and fixes the order in
 # which the per-draw power sums are added, hence the bits of the means.

@@ -25,23 +25,22 @@ takes numpy's (seed, n) SeedSequence pool and hashes only each draw's index
 words).  Its ``Spectra`` store feeds every statistic; only the flag pass of
 ``theorem.verify_exceptional_bound`` samples again, the stored draws outside
 its region.
+
+The planted parameters (``Plant``, ``PlantedConfig``) and config parsing
+live in ``sidestep.config``, which needs no numpy; this module holds the
+samplers and the lift's graph checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ProbabilityError, StreamMismatchError
+from .config import PlantedConfig, _plant_probabilities
+from .errors import DimensionMismatchError, StreamMismatchError
 from .spectral import Spectra, SpectrumSample, hashimoto_from_adjacency, sym_eigs
-
-def trace_horizon(n: int) -> int:
-    """Default trace horizon K(n): smallest even integer >= (log n)**2."""
-    k = ceil(log(n) ** 2)
-    return k + (k % 2)
 
 
 def _rng(seed, *key: int) -> np.random.Generator:
@@ -209,60 +208,6 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
         if len(parts) == 4096:  # bound the count of small arrays alive
             parts = [np.concatenate(parts)]
     return Spectra(n, m, seed, dim, np.concatenate(parts), np.cumsum(sizes))
-
-
-@dataclass(frozen=True)
-class Plant:
-    """One planted outlier: eigenvalue ell appears with probability C / n**j."""
-
-    ell: float
-    amplitude: float
-    level: int
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("plant amplitude must be positive")
-        if self.level < 1:
-            raise ValueError("plant level must be >= 1")
-
-
-@dataclass(frozen=True)
-class PlantedConfig:
-    lambda0: float
-    lambda1: float
-    n_grid: tuple[int, ...]
-    fixed_part: tuple[float, ...] = ()
-    plants: tuple[Plant, ...] = ()
-
-    def __post_init__(self):
-        if not 0 < self.lambda0 < self.lambda1:
-            raise ValueError("need 0 < lambda0 < lambda1")
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(
-            self, "fixed_part", tuple(float(x) for x in self.fixed_part)
-        )
-        for x in self.fixed_part:
-            if abs(x) > self.lambda0:
-                raise ValueError(f"fixed eigenvalue {x} outside [-lambda0, lambda0]")
-        for p in self.plants:
-            if not self.lambda0 < abs(p.ell) <= self.lambda1:
-                raise ValueError(f"plant base {p.ell} outside (lambda0, lambda1]")
-        _plant_probabilities(self, grid[0])
-
-
-def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
-    if n < len(cfg.fixed_part) + len(cfg.plants):
-        raise ValueError(f"n={n} too small for the configured spectrum")
-    probs = [p.amplitude / n**p.level for p in cfg.plants]
-    for p, q in zip(cfg.plants, probs):
-        if q > 1:
-            raise ProbabilityError(
-                f"plant ({p.ell}, {p.amplitude}, {p.level}) has probability > 1 at n={n}"
-            )
-    return probs
 
 
 def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:

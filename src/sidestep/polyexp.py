@@ -16,10 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import BASE_TOL
 from .errors import DegreeCapError, EmptyTailError
-
-# Tolerance for merging two floating-point bases into one.
-BASE_TOL = 1e-9
 
 # Polynomial degrees beyond this indicate runaway symbolic growth.
 DEGREE_CAP = 64

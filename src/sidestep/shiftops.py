@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import BASE_TOL, coincident_pair
 from .errors import BaseNotCoveredError, DuplicateBaseError, WindowTooShortError
-from .polyexp import BASE_TOL, Polyexponential, _poly_eval, _trim
+from .polyexp import Polyexponential, _poly_eval, _trim
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,9 @@ def annihilator(d: int, bases: Sequence[complex]) -> ShiftPolynomial:
     if d < 0:
         raise ValueError(f"annihilator degree must be >= 0, got {d}")
     bases = [complex(b) for b in bases]
-    for i, a in enumerate(bases):
-        for b in bases[i + 1 :]:
-            if abs(a - b) <= BASE_TOL:
-                raise DuplicateBaseError(f"bases {a} and {b} coincide within {BASE_TOL}")
+    pair = coincident_pair(bases)
+    if pair is not None:
+        raise DuplicateBaseError(f"bases {pair[0]} and {pair[1]} coincide within {BASE_TOL}")
     bases.sort(key=lambda z: (abs(z), z.real, z.imag))
     roots = tuple(b for b in bases for _ in range(d))
     return ShiftPolynomial.from_roots(roots)

@@ -162,6 +162,74 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_coincident_certify_bases_quote_the_entries_as_written(tmp_path, capsys):
+    cfg = write_config(tmp_path, overrides={"certify.L": [2.0, 2.0 + 1e-10]})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        "config error: certify.L: entries 2.0 and 2.0000000001 coincide within 1e-09\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # n ** level would be computed exactly, a 10**30-bit power
+        ({"model.plants": [{"ell": 2.0, "amplitude": 5.0, "level": 10**30}]},
+         "model.plants[0].level"),
+        # 400.0 ** 150 overflows a float, though 100.0 ** 150 would not
+        ({"model.plants": [{"ell": 2.0, "amplitude": 5.0, "level": 150}]},
+         "model.plants[0].level"),
+        # numpy would store these as object arrays, or fail to size arrays
+        ({"n_grid": [100, 200, 10**30]}, "n_grid[2]"),
+        ({"n_grid": [100, 200, 2**63]}, "n_grid[2]"),
+        ({"m": 10**30}, "m"),
+        ({"k_max": 2**63}, "k_max"),
+        ({"certify.D": 10**30}, "certify.D"),
+        ({"seed": 7, "model": {"kind": "lift", "base_adjacency": [[0, 10**30], [1, 0]]},
+          "n_grid": [3, 5]}, "model.base_adjacency[0][1]"),
+    ],
+)
+def test_huge_integer_field_exits_2(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, overrides=overrides)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("level, code", [(118, 0), (119, 2)])
+def test_plant_level_bound_is_the_float_range_at_the_largest_n(tmp_path, level, code):
+    # every n's probability C / n**level is a float: 400.0 ** 118 is about
+    # 1.1e307, and 400.0 ** 119 overflows, though 100.0 ** 119 would not
+    plants = [{"ell": 2.0, "amplitude": 5.0, "level": level}]
+    cfg = write_config(tmp_path, overrides={"model.plants": plants}, m=20)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == code
+
+
+def test_huge_certify_degree_builds_no_annihilator_before_certify(
+    tmp_path, capsys, monkeypatch
+):
+    # run applies no certify rule, and certify's window rule rejects
+    # D * len(L) = 10**5 before Ann_{D,L} is expanded
+    # theorem is imported first, so that it keeps the unpatched annihilator
+    from sidestep import shiftops, theorem  # noqa: F401
+
+    calls = []
+    original = shiftops.annihilator
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(shiftops, "annihilator", counted)
+    cfg = write_config(tmp_path, overrides={"certify.D": 10**5}, m=20)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", out) == 0
+    assert calls == []
+    assert run_cli("certify", "--config", cfg, "--out", out) == 2
+    assert "config error: certify.D: " in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "overrides, drop, field",
     [
@@ -569,14 +637,14 @@ def test_certify_missing_base_exits_5(tmp_path):
 def test_certify_prints_a_conjugate_pair_as_one_location(tmp_path, monkeypatch, capsys):
     import dataclasses
 
-    from sidestep import cli
+    from sidestep import theorem
 
-    bound = cli.verify_exceptional_bound
+    bound = theorem.verify_exceptional_bound
 
     def with_flags(*args):
         return dataclasses.replace(bound(*args), flagged=(2 + 1j, -3.0, -0.5 + 2.25j))
 
-    monkeypatch.setattr(cli, "verify_exceptional_bound", with_flags)
+    monkeypatch.setattr(theorem, "verify_exceptional_bound", with_flags)
     cfg = write_config(tmp_path, overrides={"m": 500})
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", out) == 0

@@ -1,6 +1,6 @@
 """Static hygiene of the package source, read with the stdlib ``ast``: no
-module imports a name it does not use, and no module-level private
-function or constant goes unreferenced."""
+module or function imports a name it does not use, and no module-level
+private function or constant goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -31,24 +31,65 @@ def _used_names(tree):
     return names
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_imports(scope):
+    """The import statements of a module or function body, outside the
+    functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _imported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name
+    """(name, scope) for every name an import binds, where scope is the
+    module or the innermost function that holds the import."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)]
+    for scope in scopes:
+        for node in _scope_imports(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.asname or alias.name.split(".")[0], scope
+            elif node.module != "__future__":
+                for alias in node.names:
+                    yield alias.asname or alias.name, scope
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_every_import_is_used(path):
+    # an import inside a function must be used in that function
     tree = _tree(path)
-    used = _used_names(tree)
-    unused = [name for name in _imported_names(tree) if name not in used]
+    unused = [
+        name
+        for name, scope in _imported_names(tree)
+        if name not in _used_names(scope)
+    ]
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_hygiene_sees_imports_inside_functions():
+    tree = ast.parse(
+        "import json\n"
+        "def f():\n"
+        "    import zipfile\n"
+        "    from math import ceil, log\n"
+        "    return ceil(json.loads('1'))\n"
+        "def g():\n"
+        "    from math import log\n"
+        "    return log(2)\n"
+    )
+    # log is used in g only, so f's import of it is unused
+    unused = [
+        name for name, scope in _imported_names(tree) if name not in _used_names(scope)
+    ]
+    assert sorted(unused) == ["log", "zipfile"]
 
 
 def _private_definitions(tree):

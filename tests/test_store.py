@@ -18,6 +18,7 @@ from sidestep import (
     ein_eout,
     mc_expected_trace,
     sidestep_params,
+    trace_horizon,
     verify_sidestep,
 )
 from sidestep import estimation, models
@@ -284,7 +285,7 @@ def test_trace_reduction_is_bitwise_the_scatter_add(seed, m, kind, scale, k_max)
 )
 def test_trace_reduction_bitwise_at_the_edges(kind, scale, k_max):
     n = 30000
-    assert models.trace_horizon(n) >= k_max
+    assert trace_horizon(n) >= k_max
     _assert_matches_scatter_add(_random_store(7, n, 2049, kind, scale), k_max)
 
 
