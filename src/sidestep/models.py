@@ -18,13 +18,14 @@ Two families:
   lambda0 = sqrt(d-1), lambda1 = d - 1.
 
 Sampling is a pure function of (config, n, seed): streams come from a
-counter-based Philox generator keyed by seed and sample/edge indices.
-``draw_spectra`` draws i = 0..m-1 of a dimension once, planted draws a block
-at a time through a numpy copy of that stream (``sample_uniforms``, which
-takes numpy's (seed, n) SeedSequence pool and hashes only each draw's index
-words).  Its ``Spectra`` store feeds every statistic; only the flag pass of
-``theorem.verify_exceptional_bound`` samples again, the stored draws outside
-its region.
+counter-based Philox generator keyed by seed and sample/edge indices.  A
+planted dimension has one stream, keyed by (seed, n), whose counter counts
+draws (``_plant_rng``), so a block of draws is one ``random`` call.
+Changing a stream re-pins its model's outputs (README, "planted stream
+contract").  ``draw_spectra`` draws i = 0..m-1 of a dimension once, planted
+draws a block at a time; its ``Spectra`` store feeds every statistic, and
+only the flag pass of ``theorem.verify_exceptional_bound`` samples again,
+the stored draws outside its region.
 
 The planted parameters (``Plant``, ``PlantedConfig``) and config parsing
 live in ``sidestep.config``, which needs no numpy; this module holds the
@@ -55,112 +56,18 @@ def sample_seed(seed: int, n: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(n), int(index)))
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_U32 = 0xFFFFFFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_BLOCK = 4096  # draws per kernel call in draw_spectra
+_BLOCK = 4096  # draws per block in draw_spectra
 
 
-def _words(x: int) -> list[int]:
-    """x >= 0 as little-endian uint32 words, as SeedSequence splits an int."""
-    out = [x & _U32]
-    while x > _U32:
-        x >>= 32
-        out.append(x & _U32)
-    return out
-
-
-def _hashmix(rows: np.ndarray, const: int, mult: int) -> np.ndarray:
-    """SeedSequence's hash step on each row in turn, from constant ``const``."""
-    steps = [const * pow(mult, r, 1 << 32) & _U32 for r in range(len(rows) + 1)]
-    consts = np.array(steps, dtype=np.uint32)[:, None]
-    value = (rows ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> np.uint32(16))
-
-
-def _philox_keys(seed: int, n: int, index: np.ndarray):
-    """Philox keys of ``sample_seed(seed, n, i)`` for every i in ``index``.
-
-    ``SeedSequence(seed, spawn_key=(n, i))`` mixes i's uint32 words into the
-    pool of ``SeedSequence(seed, spawn_key=(n,))``, whose hash constant has
-    taken 4 steps per word of the padded seed and of n.  Only i's words are
-    hashed per draw, then ``generate_state(2, uint64)``.
-    """
-    pool = np.random.SeedSequence(int(seed), spawn_key=(int(n),)).pool[:, None]
-    hashed = max(_POOL, len(_words(int(seed)))) + len(_words(int(n)))
-    for j in range(len(_words(int(index[-1])))):
-        word = ((index >> np.uint64(32 * j)) & np.uint64(_U32)).astype(np.uint32)
-        const = _INIT_A * pow(_MULT_A, _POOL * (hashed + j), 1 << 32) & _U32
-        value = _hashmix(np.tile(word, (_POOL, 1)), const, _MULT_A)
-        mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * value
-        pool = mixed ^ (mixed >> np.uint32(16))
-    state = _hashmix(pool, _INIT_B, _MULT_B).astype(np.uint64)
-    high = np.uint64(32)  # little-endian word pairs make each uint64
-    return state[0] | (state[1] << high), state[2] | (state[3] << high)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64 bits of m * x, the high half from 32-bit halves."""
-    low, shift = np.uint64(_U32), np.uint64(32)
-    m0, m1 = np.uint64(m & _U32), np.uint64(m >> 32)
-    x0, x1 = x & low, x >> shift
-    p01, p10 = x0 * m1, x1 * m0
-    carry = ((x0 * m0) >> shift) + (p01 & low) + (p10 & low)
-    high = x1 * m1 + (p01 >> shift) + (p10 >> shift) + (carry >> shift)
-    return high, x * np.uint64(m)
-
-
-def _philox(key0: np.ndarray, key1: np.ndarray, counter: int) -> list[np.ndarray]:
-    """Philox4x64-10 of the counter (counter, 0, 0, 0) under each key."""
-    zero = np.zeros(len(key0), dtype=np.uint64)
-    ctr = [np.full(len(key0), counter, dtype=np.uint64), zero, zero, zero]
-    for r in range(10):
-        if r:
-            key0 = key0 + np.uint64(_PHILOX_W[0])
-            key1 = key1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
-    return ctr
-
-
-def sample_uniforms(seed: int, n: int, start: int, count: int, p: int) -> np.ndarray:
-    """The first p ``random()`` doubles of draws start..start+count-1.
-
-    Row r equals ``Generator(Philox(sample_seed(seed, n, start + r))).random(p)``
-    bit for bit: Philox counts its 4-word output blocks from 1, and each
-    uint64 x maps to ``(x >> 11) * 2**-53``.  Every index of the window
-    must have the same number of uint32 words (no window crosses 2**32).
-    """
-    stop = start + count
-    if start < 0 or count < 1 or stop > 1 << 64:
-        raise ValueError(f"draw window [{start}, {stop}) outside [0, 2**64)")
-    if len(_words(start)) != len(_words(stop - 1)):
-        raise ValueError(f"draw window [{start}, {stop}) crosses a word boundary")
-    index = np.arange(count, dtype=np.uint64) + np.uint64(start)
-    key0, key1 = _philox_keys(seed, n, index)
-    out = np.empty((count, p))
-    for first in range(0, p, 4):
-        outputs = _philox(key0, key1, first // 4 + 1)
-        for j, x in enumerate(outputs[: p - first]):
-            out[:, first + j] = (x >> np.uint64(11)) * (1.0 / 2.0**53)
-    return out
-
-
-def _block_windows(m: int):
-    """(start, count) of the draw blocks: at most _BLOCK draws, and no
-    block crosses a uint32 word boundary of the draw index."""
-    start = 0
-    while start < m:
-        stop = min(m, start + _BLOCK, 1 << 32 * len(_words(start)))
-        yield start, stop - start
-        start = stop
+def _plant_rng(seed, p: int) -> np.random.Generator:
+    """Planted draw i of ``sample_seed(seed, n, i)`` with p plants: the Philox
+    stream keyed by ``SeedSequence(seed, spawn_key=(n,))`` from counter block
+    i*ceil(p/4) on.  Any other seed starts its own stream at block 0."""
+    key, i = (), 0
+    if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
+        seed, (*key, i) = seed.entropy, seed.spawn_key
+    bg = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(bg.advance(i * -(-p // 4)))
 
 
 def _nonzero(sample: SpectrumSample) -> np.ndarray:
@@ -171,24 +78,27 @@ def _nonzero(sample: SpectrumSample) -> np.ndarray:
 def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
     """Draw samples i = 0..m-1 of dimension n once and keep their spectra.
 
-    A model with a ``draw_block`` hook draws a block of samples at once;
-    the first draw of every block is re-drawn through ``model.sample`` and
-    must match bit for bit (``planted_block`` also checks that draw's raw
-    uniforms).  Other models are sampled one draw at a time.
+    A model with a ``draw_block`` hook draws up to _BLOCK samples at once;
+    the first and last draw of every block are re-drawn through
+    ``model.sample`` and must match bit for bit (``planted_block`` also
+    checks those draws' raw uniforms).  Other models are sampled one draw
+    at a time.
     """
     if m < 1:
         raise ValueError(f"need at least 1 sample, got {m}")
     if hasattr(model, "draw_block"):
         parts, sizes = [], [np.zeros(1, dtype=np.int64)]
-        for start, count in _block_windows(m):
+        for start in range(0, m, _BLOCK):
+            count = min(_BLOCK, m - start)
             values, counts = model.draw_block(n, seed, start, count)
-            reference = model.sample(n, sample_seed(seed, n, start))
-            if reference.n != n or not np.array_equal(
-                values[: counts[0]], _nonzero(reference)
-            ):
-                raise StreamMismatchError(
-                    f"block draw differs from model.sample at n={n}, i={start}"
-                )
+            last = len(values) - counts[-1]
+            ends = {start: values[: counts[0]], start + count - 1: values[last:]}
+            for i, drawn in ends.items():
+                reference = model.sample(n, sample_seed(seed, n, i))
+                if reference.n != n or not np.array_equal(drawn, _nonzero(reference)):
+                    raise StreamMismatchError(
+                        f"block draw differs from model.sample at n={n}, i={i}"
+                    )
             parts.append(values)
             sizes.append(counts)
         offsets = np.cumsum(np.concatenate(sizes))
@@ -211,10 +121,11 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
 
 
 def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
-    """Draw one spectrum: F plus independent Bernoulli plants, zeros elsewhere."""
+    """Draw one spectrum: F plus independent Bernoulli plants, zeros elsewhere;
+    plant q is present when the q-th double of ``_plant_rng`` is below C/n**j."""
     probs = _plant_probabilities(cfg, n)
     eigs = list(cfg.fixed_part)
-    u = _rng(seed).random(len(cfg.plants))
+    u = _plant_rng(seed, len(probs)).random(len(probs))
     eigs += [p.ell for p, x, q in zip(cfg.plants, u, probs) if x < q]
     return SpectrumSample(eigs, n=n)
 
@@ -223,23 +134,25 @@ def planted_block(
     cfg: PlantedConfig, n: int, seed: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draws start..start+count-1 exactly as ``planted_sample`` makes them
-    from ``sample_seed(seed, n, i)``: their nonzero eigenvalues in draw
-    order, and how many each draw keeps.
-
-    The raw uniforms of draw ``start`` must equal those of its per-draw
-    generator bit for bit, or StreamMismatchError names n and i.
+    from ``sample_seed(seed, n, i)``, read in one ``random((count, 4s))``
+    call: their nonzero eigenvalues in draw order, and how many each draw
+    keeps.  The raw uniforms of the first and last draw must equal their
+    per-draw generators' bit for bit, or StreamMismatchError names n and i.
     """
     probs = _plant_probabilities(cfg, n)
-    row = np.array([*cfg.fixed_part, *(p.ell for p in cfg.plants)], dtype=complex)
+    p = len(probs)
+    row = np.array([*cfg.fixed_part, *(q.ell for q in cfg.plants)], dtype=complex)
     fixed = len(cfg.fixed_part)
     mask = np.empty((count, len(row)), dtype=bool)
     mask[:, :fixed] = row[:fixed] != 0
-    u = sample_uniforms(seed, n, start, count, len(probs))
-    want = _rng(sample_seed(seed, n, start)).random(len(probs))
-    if u[0].tobytes() != want.tobytes():
-        raise StreamMismatchError(
-            f"block uniforms differ from the per-draw stream at n={n}, i={start}"
-        )
+    rng = _plant_rng(sample_seed(seed, n, start), p)
+    u = rng.random((count, 4 * -(-p // 4)))[:, :p]
+    for i in (start, start + count - 1):
+        want = _plant_rng(sample_seed(seed, n, i), p).random(p)
+        if u[i - start].tobytes() != want.tobytes():
+            raise StreamMismatchError(
+                f"block uniforms differ from the per-draw stream at n={n}, i={i}"
+            )
     mask[:, fixed:] = u < probs
     return np.broadcast_to(row, mask.shape)[mask], np.count_nonzero(mask, axis=1)
 

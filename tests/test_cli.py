@@ -4,7 +4,6 @@ determinism."""
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -797,9 +796,10 @@ def test_each_sample_drawn_once_per_pipeline(tmp_path, monkeypatch):
         before = len(calls), sum(rows)
         assert run_cli(command, "--config", cfg, "--out", out) == 0
         drawn[command] = (len(calls) - before[0], sum(rows) - before[1])
-    # run draws every sample once in a block, and re-draws the first draw of
-    # each block through sample to check it; analyze and certify draw nothing
-    spot_checks = -(-4000 // models._BLOCK) * 3
+    # run draws every sample once in a block, and re-draws the first and last
+    # draw of each block through sample to check it; analyze and certify
+    # draw nothing
+    spot_checks = -(-4000 // models._BLOCK) * 3 * 2
     assert drawn == {"run": (spot_checks, 4000 * 3), "analyze": (0, 0), "certify": (0, 0)}
 
 
@@ -841,43 +841,33 @@ def test_certify_flag_pass_redraws_only_offending_draws(tmp_path, monkeypatch):
     assert len(calls) < 2000
 
 
-def test_mutated_block_kernel_exits_3_naming_the_draw(tmp_path, monkeypatch, capsys):
-    from sidestep import models
-
-    kernel = models.sample_uniforms
-
-    def flipped(seed, n, start, count, p):
-        u = kernel(seed, n, start, count, p)
-        if n == 200:  # move draw 0's uniform across C/n = 0.025
-            u[0, 0] = 0.0 if u[0, 0] >= 0.025 else 0.5
+def test_mutated_block_kernel_exits_3_naming_the_draw(
+    tmp_path, mutate_block_read, capsys
+):
+    def flipped(plant_rng, seed, p, size):
+        u = plant_rng(seed, p).random(size)
+        if seed.spawn_key[0] == 200:  # move the last draw's uniform across C/n
+            u[-1, 0] = 0.0 if u[-1, 0] >= 0.025 else 0.5
         return u
 
-    monkeypatch.setattr(models, "sample_uniforms", flipped)
+    mutate_block_read(flipped)
     cfg = write_config(tmp_path, overrides={"m": 50})
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 3
-    assert "at n=200, i=0" in capsys.readouterr().err
+    assert "at n=200, i=49" in capsys.readouterr().err
 
 
-def test_carryless_mulhi_kernel_exits_3_on_the_first_block(tmp_path, monkeypatch, capsys):
-    # a Philox kernel that drops the carry of its 64-bit high product keeps
-    # almost every plant decision of the demo's first block, so only the
-    # raw uniforms of draw 0 show the fault
-    from sidestep import models
+def test_wrong_stride_block_exits_3_on_the_last_draw(
+    tmp_path, mutate_block_read, capsys
+):
+    # reading p doubles per draw instead of the 4s of its counter blocks
+    # keeps draw 0 of every block and shifts every later one
+    def strided(plant_rng, seed, p, size):
+        return plant_rng(seed, p).random((size[0], p))
 
-    def carryless(m, x):
-        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-        m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-        x0, x1 = x & low, x >> shift
-        p01, p10 = x0 * m1, x1 * m0
-        high = x1 * m1 + (p01 >> shift) + (p10 >> shift)
-        return high, x * np.uint64(m)
-
-    monkeypatch.setattr(models, "_mulhilo", carryless)
-    raw = json.loads((CONFIG_DIR / "demo.json").read_text())
-    cfg = tmp_path / "demo.json"
-    cfg.write_text(json.dumps(dict(raw, m=8000)))
+    mutate_block_read(strided)
+    cfg = write_config(tmp_path, overrides={"m": 50})
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "out") == 3
-    assert "at n=100, i=0" in capsys.readouterr().err
+    assert "at n=100, i=49" in capsys.readouterr().err
 
 
 K4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]

@@ -20,7 +20,7 @@ from sidestep import (
 )
 from sidestep import models
 from sidestep.errors import ProbabilityError
-from sidestep.models import sample_seed, sample_uniforms
+from sidestep.models import planted_block, sample_seed
 
 
 def demo_config(n_grid=(100, 200, 400, 800)):
@@ -284,47 +284,37 @@ def test_lift_defaults():
 
 
 U32 = 2**32
-# the seed's entropy words: 1, 1, 2, 3 and 5 (longer than the 4-word pool)
-SEEDS = st.one_of(
-    st.sampled_from([0, U32 - 1, U32, 2**64, 2**128 + 7]), st.integers(0, 2**160)
-)
 
 
-@st.composite
-def draw_windows(draw):
-    """(start, count) below 2**32, just under it, or just over it."""
-    low = draw(st.sampled_from([0, U32 - 9, U32]))
-    start = low + draw(st.integers(0, 8))
-    limit = U32 - start if start < U32 else 9
-    return start, draw(st.integers(1, min(9, limit)))
+def contract_uniforms(seed, n, start, count, p):
+    """Plant uniforms of draws start..start+count-1 as README's planted
+    stream contract words them, rows in draw order."""
+    s = -(-p // 4)
+    bg = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(n,)))
+    return np.random.Generator(bg.advance(start * s)).random((count, 4 * s))[:, :p]
 
 
 @settings(deadline=None, max_examples=60)
 @given(
-    seed=SEEDS,
-    n=st.one_of(st.sampled_from([1, U32 + 1]), st.integers(1, 10**6)),
-    window=draw_windows(),
+    seed=st.one_of(st.sampled_from([2**64, 2**128 + 7]), st.integers(2**64, 2**160)),
+    n=st.one_of(st.just(U32 + 1), st.integers(10, 10**6)),
+    start=st.one_of(st.integers(0, 20), st.integers(U32, 2**48)),
+    count=st.integers(1, 9),
     p=st.integers(0, 9),  # crosses the 4-word Philox output block
+    q=st.floats(0.05, 0.95),
 )
-@example(seed=2**130 + 1, n=U32 + 1, window=(U32 - 3, 3), p=9)
-@example(seed=0, n=1, window=(U32, 2), p=5)
-def test_sample_uniforms_match_numpy_philox(seed, n, window, p):
-    start, count = window
-    want = [
-        np.random.Generator(np.random.Philox(sample_seed(seed, n, i))).random(p)
-        for i in range(start, start + count)
-    ]
-    got = sample_uniforms(seed, n, start, count, p)
-    assert got.shape == (count, p)
-    assert got.tobytes() == np.array(want).reshape(count, p).tobytes()
-
-
-def test_draw_blocks_never_cross_a_word_boundary(monkeypatch):
-    monkeypatch.setattr(models, "_BLOCK", 3 * 2**30)
-    assert list(models._block_windows(U32 + 10)) == [
-        (0, 3 * 2**30),
-        (3 * 2**30, 2**30),
-        (U32, 10),
-    ]
-    with pytest.raises(ValueError, match="word boundary"):
-        sample_uniforms(0, 1, U32 - 1, 2, 1)
+@example(seed=2**130 + 1, n=U32 + 1, start=U32 + 5, count=9, p=9, q=0.5)
+@example(seed=2**64, n=U32 + 1, start=U32, count=3, p=0, q=0.5)
+def test_block_rows_equal_per_draw_samples(seed, n, start, count, p, q):
+    # level-1 plants with probability q each, so most rows differ
+    plants = tuple(Plant(1.5 + 0.25 * j, q * n, 1) for j in range(p))
+    cfg = PlantedConfig(1.0, 4.0, (n,), (0.5,), plants)
+    values, counts = planted_block(cfg, n, seed, start, count)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    want = contract_uniforms(seed, n, start, count, p)
+    for r in range(count):
+        draw = sample_seed(seed, n, start + r)
+        eigs = planted_sample(cfg, n, draw).eigenvalues
+        kept = values[offsets[r] : offsets[r + 1]]
+        assert kept.tobytes() == eigs[eigs != 0].tobytes()
+        assert models._plant_rng(draw, p).random(p).tobytes() == want[r].tobytes()

@@ -179,14 +179,23 @@ ZERO, SOME = [0j, 0j], [2.0 + 0j, -1j]
 @example(  # exact zeros mid-array, and an all-zero draw between others
     draws=[np.array([0, 1.5, 0]), np.zeros(3), np.array([-2, 0, 3j])], k_max=6
 )
+@example(  # power sums that cancel: both covariances are off by about 1.5e-11
+    draws=[np.array([0, 0, 0, -2]), np.array([1e-12, -2, 0.0078125, 1e-9 + 4j])],
+    k_max=7,
+)
 def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     n, m = 100, len(draws)  # n only bounds k_max through the trace horizon
     spectra = draw_spectra(FixedDraws(draws), n, m, seed=0)
     table = mc_expected_trace(spectra, k_max)
     sums = np.array([_power_sums(d, k_max) for d in draws])
+    means = sums.mean(axis=0)
+    assert np.all(np.abs(table.means - means) <= 1e-12 * np.maximum(1, np.abs(means)))
+    # the (k, l) covariance cancels terms as large as S_k * S_l, where S_k is
+    # the mean sum(|z|**k), and both it and np.cov round at that scale
+    size = np.array([_power_sums(np.abs(d), k_max) for d in draws]).mean(axis=0)
     cov = np.cov(sums.T).reshape(k_max, k_max) / m
-    for got, want in ((table.means, sums.mean(axis=0)), (table.covariance, cov)):
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+    tol = 1e-12 * np.maximum(1, np.outer(size, size))
+    assert np.all(np.abs(table.covariance - cov) <= tol)
     assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
@@ -421,17 +430,30 @@ def test_planted_block_store_equals_per_draw_loop(tmp_path, monkeypatch, case, b
     assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
 
 
-def test_mutated_kernel_fails_the_block_check(monkeypatch):
-    kernel = models.sample_uniforms
+def test_mutated_kernel_fails_the_block_check(monkeypatch, mutate_block_read):
+    # advancing a block by its doubles (4s per draw) instead of its counter
+    # blocks (s per draw) keeps the first block and breaks every later one
+    def advanced_by_doubles(plant_rng, seed, p, size):
+        n, start = seed.spawn_key
+        return plant_rng(sample_seed(seed.entropy, n, 4 * start), p).random(size)
 
-    def flipped(seed, n, start, count, p):
-        u = kernel(seed, n, start, count, p)
-        if start == 128:  # move the uniform across C/n = 1/2 in draw 128
-            u[0, 0] = 0.75 if u[0, 0] < 0.5 else 0.25
-        return u
-
-    monkeypatch.setattr(models, "sample_uniforms", flipped)
+    mutate_block_read(advanced_by_doubles)
     monkeypatch.setattr(models, "_BLOCK", 64)
     model = PlantedModel(PlantedConfig(1.0, 4.0, (20,), (0.5,), (Plant(2.0, 10.0, 1),)))
-    with pytest.raises(StreamMismatchError, match=r"n=20, i=128\b"):
+    with pytest.raises(StreamMismatchError, match=r"n=20, i=64\b"):
         draw_spectra(model, 20, 300, seed=5)
+
+
+def test_block_check_compares_the_last_draw_with_model_sample(monkeypatch):
+    block = PlantedModel.draw_block
+
+    def dropped_last(self, n, seed, start, count):
+        values, counts = block(self, n, seed, start, count)
+        counts = counts.copy()  # the last draw loses its last eigenvalue
+        counts[-1] -= 1
+        return values[:-1], counts
+
+    monkeypatch.setattr(PlantedModel, "draw_block", dropped_last)
+    monkeypatch.setattr(models, "_BLOCK", 64)
+    with pytest.raises(StreamMismatchError, match=r"model\.sample at n=20, i=63\b"):
+        draw_spectra(demo_model((20,)), 20, 300, seed=5)
