@@ -2,9 +2,9 @@
 numeric modules share with them.
 
 ``load_experiment`` reads a ``sidestep-config/1`` file into an
-``Experiment``, and every rule a field breaks raises ``ConfigError`` naming
-the field.  The module needs only the standard library, so a command that
-parses a planted config imports no numpy: the planted sampler
+``Experiment`` by one schema table, ``FIELDS``, and every rule a field
+breaks raises ``ConfigError`` naming it.  Only the standard library is
+needed, so parsing a planted config imports no numpy: the planted sampler
 (``models.PlantedModel``) is built when ``Experiment.model`` is first read.
 A lift config imports ``models`` to check its base graph while parsing.
 
@@ -51,6 +51,14 @@ def coincident_pair(bases):
     return None
 
 
+def _grid(n_grid) -> tuple[int, ...]:
+    """The planted and lift configs' n_grid rule: nonempty, strictly increasing."""
+    grid = tuple(int(n) for n in n_grid)
+    if not grid or list(grid) != sorted(set(grid)):
+        raise ValueError("n_grid must be nonempty and strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class Plant:
     """One planted outlier: eigenvalue ell appears with probability C / n**j."""
@@ -77,10 +85,7 @@ class PlantedConfig:
     def __post_init__(self):
         if not 0 < self.lambda0 < self.lambda1:
             raise ValueError("need 0 < lambda0 < lambda1")
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "n_grid", _grid(self.n_grid))
         object.__setattr__(
             self, "fixed_part", tuple(float(x) for x in self.fixed_part)
         )
@@ -90,7 +95,7 @@ class PlantedConfig:
         for p in self.plants:
             if not self.lambda0 < abs(p.ell) <= self.lambda1:
                 raise ValueError(f"plant base {p.ell} outside (lambda0, lambda1]")
-        _plant_probabilities(self, grid[0])
+        _plant_probabilities(self, self.n_grid[0])
 
 
 def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
@@ -110,22 +115,11 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(message, field)
 
 
-def _required(obj: dict, path: str, *keys: str) -> None:
-    for key in keys:
-        _require(key in obj, f"{path}.{key}" if path else key, "required field missing")
-
-
 def _power_is_finite(base: float, k: int) -> bool:
     try:
         return math.isfinite(base**k)
     except OverflowError:
         return False
-
-
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {key!r}", path)
 
 
 def _int(value, field: str) -> int:
@@ -157,39 +151,22 @@ def _float(value, field: str) -> float:
     return float(value)
 
 
+def _floats(value, field: str) -> tuple[float, ...]:
+    _require(isinstance(value, list), field, "must be a list")
+    return tuple(_float(x, f"{field}[{i}]") for i, x in enumerate(value))
+
+
 def _seed(value, field: str) -> int:
     seed = _int(value, field)
     _require(seed >= 0, field, f"must be >= 0, got {seed}")
     return seed
 
 
-def _section(raw: dict, key: str, allowed: set[str]) -> dict:
-    """An optional object field, empty when absent."""
-    obj = raw.get(key, {})
-    _require(isinstance(obj, dict), key, "must be an object")
-    _check_keys(obj, allowed, key)
-    return obj
-
-
-def _plants(raw, path: str, n_max: int) -> tuple[Plant, ...]:
-    """Plants whose probability C / n**level has a float n**level at every
-    n up to n_max, checked before any exact power is taken."""
-    out = []
-    for i, p in enumerate(raw):
-        here = f"{path}[{i}]"
-        _require(isinstance(p, dict), here, "plant must be an object")
-        _check_keys(p, {"ell", "amplitude", "level"}, here)
-        _required(p, here, "ell", "amplitude", "level")
-        ell = _float(p["ell"], f"{here}.ell")
-        amplitude = _float(p["amplitude"], f"{here}.amplitude")
-        level = _int(p["level"], f"{here}.level")
-        _require(
-            _power_is_finite(float(n_max), level),
-            f"{here}.level",
-            f"n ** level = {n_max} ** {level} overflows a float at the largest n",
-        )
-        out.append(Plant(ell, amplitude, level))
-    return tuple(out)
+def _n_grid(value, field: str) -> tuple[int, ...]:
+    _require(isinstance(value, list) and len(value) >= 1, field, "must be a nonempty list")
+    grid = tuple(_int64(n, f"{field}[{i}]") for i, n in enumerate(value))
+    _require(list(grid) == sorted(set(grid)), field, "must be strictly increasing")
+    return grid
 
 
 def _adjacency(raw, path: str) -> list[list[int]]:
@@ -205,160 +182,163 @@ def _adjacency(raw, path: str) -> list[list[int]]:
     ]
 
 
+def _model(value, field: str) -> dict:
+    """The model object, read by the rows of its kind (MODELS)."""
+    _require(isinstance(value, dict), field, "must be an object")
+    kind = value.get("kind")
+    _require(
+        isinstance(kind, str) and kind in MODELS, f"{field}.kind", "must be planted or lift"
+    )
+    return _walk(value, field, MODELS[kind], {})
+
+
+def _plants(value, field: str) -> tuple[dict, ...]:
+    _require(isinstance(value, list), field, "must be a list")
+    return tuple(
+        _walk(plant, f"{field}[{i}]", PLANT, {}, error="plant must be an object")
+        for i, plant in enumerate(value)
+    )
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """A row of the config schema; see FIELDS."""
+
+    read: object
+    default: object = REQUIRED
+    bound: tuple | None = None
+    follows: str | None = None
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+
+# The config schema.  An object's rows (key: Field, in reading order; a
+# model's are those of its kind) are the keys it may hold.  ``read(value,
+# field)`` returns the value or raises ConfigError naming the field; a dict
+# there is an object's rows, and None keeps the value.  ``default`` is
+# REQUIRED or what a missing field reads as (None leaves it, and a null
+# object, None); with ``follows`` it is computed from that top-level field,
+# which a rule the default breaks names.  ``bound`` is (test, message), the
+# message formatted with the value.  Rules across fields are Experiment's.
+PLANT = {"ell": Field(_float), "amplitude": Field(_float), "level": Field(_int)}
+MODELS = {
+    "planted": {
+        "kind": Field(None),
+        "lambda0": Field(_float),
+        "lambda1": Field(_float),
+        "fixed_part": Field(_floats, []),
+        "plants": Field(_plants, []),
+    },
+    "lift": {
+        "kind": Field(None),
+        "base_adjacency": Field(_adjacency),
+        "hashimoto": Field(None, True, (
+            lambda v: isinstance(v, bool), "must be true or false, got {!r}"
+        )),
+    },
+}
+FIELDS = {
+    # a missing schema reads as "", which its bound rejects
+    "schema": Field(None, "", (lambda v: v == SCHEMA, f"must be {SCHEMA!r}")),
+    "seed": Field(_seed),
+    "n_grid": Field(_n_grid, bound=(lambda grid: grid[0] >= 1, "entries must be >= 1")),
+    "m": Field(_int64, bound=(lambda m: m >= 2, "must be >= 2")),
+    "model": Field(_model),
+    "k_max": Field(_int64, lambda grid: min(20, trace_horizon(grid[0])), follows="n_grid"),
+    # the default order fits any grid of at least two points
+    "fit": Field({"r": Field(
+        _int, lambda grid: max(1, min(2, len(grid) - 1)), _AT_LEAST_1, "n_grid"
+    )}, {}),
+    # the default fits any detection window of at least 4 values
+    "detect": Field({"max_bases": Field(
+        _int, lambda k: max(1, min(4, (k - DETECT_K_MIN - 1) // 2)), _AT_LEAST_1, "k_max"
+    )}, {}),
+    "estimate": Field({"theta": Field(_float, 0.3, _POSITIVE)}, {}),
+    "certify": Field({
+        "D": Field(_int64, 2, (lambda d: d >= 0 and d % 2 == 0, "must be even and >= 0")),
+        "epsilon": Field(_float, 0.5, _POSITIVE),
+        "alpha": Field(_float, 1.0, _POSITIVE),
+        "L": Field(_floats, []),
+        "theta": Field(_float, None, _POSITIVE),
+    }, None),
+    "out_dir": Field(None, "out", (
+        lambda v: isinstance(v, str) and v != "", "must be a nonempty string, got {!r}"
+    )),
+}
+
+
+def _walk(obj, path: str, rows: dict, set_by: dict, top=None, error="must be an object"):
+    """The values of object ``obj`` at ``path`` read by its ``rows``; a
+    non-object fails with ``error``.  ``top`` holds the top-level values read
+    so far; ``set_by`` gets each field's setter, itself or the one it follows."""
+    _require(isinstance(obj, dict), path, error)
+    for key in obj:
+        if key not in rows:
+            raise ConfigError(f"unknown field {key!r}", path)
+    out = {}
+    top = out if top is None else top
+    for key, row in rows.items():
+        field = f"{path}.{key}" if path else key
+        value = obj.get(key, row.default)
+        if value is REQUIRED:
+            raise ConfigError("required field missing", field)
+        set_by[field] = field
+        if key not in obj and row.follows:
+            set_by[field], value = row.follows, row.default(top[row.follows])
+        if isinstance(row.read, dict):
+            if value is not None or row.default is not None:  # null is an absent object
+                value = _walk(value, field, row.read, set_by, top)
+        elif key in obj or row.default is not None:
+            value = value if row.read is None else row.read(value, field)
+            if row.bound is not None and not row.bound[0](value):
+                raise ConfigError(row.bound[1].format(value), field)
+        out[key] = value
+    return out
+
+
 class Experiment:
     """Validated experiment configuration."""
 
     def __init__(self, raw: dict):
-        _require(isinstance(raw, dict), "", "config must be a JSON object")
-        _check_keys(
-            raw,
-            {
-                "schema",
-                "seed",
-                "model",
-                "n_grid",
-                "m",
-                "k_max",
-                "fit",
-                "detect",
-                "estimate",
-                "certify",
-                "out_dir",
-            },
-            "",
-        )
-        _require(raw.get("schema") == SCHEMA, "schema", f"must be {SCHEMA!r}")
-        _required(raw, "", "seed", "model", "n_grid", "m")
-        self.seed = _seed(raw["seed"], "seed")
-        grid = raw["n_grid"]
-        _require(
-            isinstance(grid, list) and len(grid) >= 1,
-            "n_grid",
-            "must be a nonempty list",
-        )
-        self.n_grid = tuple(_int64(n, f"n_grid[{i}]") for i, n in enumerate(grid))
-        _require(
-            all(b > a for a, b in zip(self.n_grid, self.n_grid[1:])),
-            "n_grid",
-            "must be strictly increasing",
-        )
-        _require(self.n_grid[0] >= 1, "n_grid", "entries must be >= 1")
-        self.m = _int64(raw["m"], "m")
-        _require(self.m >= 2, "m", "must be >= 2")
-
-        model = raw["model"]
-        _require(isinstance(model, dict), "model", "must be an object")
-        kind = model.get("kind")
-        _require(kind in ("planted", "lift"), "model.kind", "must be planted or lift")
+        self._set_by = {}
+        top = _walk(raw, "", FIELDS, self._set_by, error="config must be a JSON object")
+        self.seed, self.n_grid, self.m = top["seed"], top["n_grid"], top["m"]
+        model, n_max = top["model"], self.n_grid[-1]
+        for i, p in enumerate(model.get("plants", ())):
+            # C / n**level needs a float n**level at every n, checked before any power
+            _require(
+                _power_is_finite(float(n_max), p["level"]),
+                f"model.plants[{i}].level",
+                f"n ** level = {n_max} ** {p['level']} overflows a float at the largest n",
+            )
         try:
-            if kind == "planted":
-                _check_keys(
-                    model,
-                    {"kind", "lambda0", "lambda1", "fixed_part", "plants"},
-                    "model",
-                )
-                _required(model, "model", "lambda0", "lambda1")
-                self._model_cfg = PlantedConfig(
-                    _float(model["lambda0"], "model.lambda0"),
-                    _float(model["lambda1"], "model.lambda1"),
-                    self.n_grid,
-                    tuple(
-                        _float(x, f"model.fixed_part[{i}]")
-                        for i, x in enumerate(model.get("fixed_part", []))
-                    ),
-                    _plants(model.get("plants", []), "model.plants", self.n_grid[-1]),
-                )
-            else:
+            if model.pop("kind") == "lift":  # the other rows are the config's fields
                 from .models import LiftConfig
 
-                _check_keys(
-                    model,
-                    {"kind", "base_adjacency", "hashimoto"},
-                    "model",
-                )
-                _required(model, "model", "base_adjacency")
-                hashimoto = model.get("hashimoto", True)
-                _require(
-                    isinstance(hashimoto, bool),
-                    "model.hashimoto",
-                    f"must be true or false, got {hashimoto!r}",
-                )
-                self._model_cfg = LiftConfig(
-                    _adjacency(model["base_adjacency"], "model.base_adjacency"),
-                    self.n_grid,
-                    hashimoto,
-                )
-        except ConfigError:
-            raise
+                self._model_cfg = LiftConfig(n_grid=self.n_grid, **model)
+            else:
+                model["plants"] = tuple(Plant(**plant) for plant in model["plants"])
+                self._model_cfg = PlantedConfig(n_grid=self.n_grid, **model)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), "model") from exc
-
         horizon = trace_horizon(self.n_grid[0])
-        self.k_max = _int64(raw.get("k_max", min(20, horizon)), "k_max")
-        _require(
-            1 <= self.k_max <= horizon,
-            "k_max" if "k_max" in raw else "n_grid",
-            f"must lie in 1..K(min n)={horizon}",
-        )
-
-        fit = _section(raw, "fit", {"r"})
-        # the default order fits any grid of at least two points
-        default_r = max(1, min(2, len(self.n_grid) - 1))
-        self.fit_r = _int(fit.get("r", default_r), "fit.r")
-        _require(self.fit_r >= 1, "fit.r", "must be >= 1")
-        self._fit_field = "fit.r" if "r" in fit else "n_grid"
-
-        detect = _section(raw, "detect", {"max_bases"})
-        # the default fits any detection window of at least 4 values
-        default_bases = max(1, min(4, (self.k_max - DETECT_K_MIN - 1) // 2))
-        self.max_bases = _int(
-            detect.get("max_bases", default_bases), "detect.max_bases"
-        )
-        _require(self.max_bases >= 1, "detect.max_bases", "must be >= 1")
-        self._window_field = "detect.max_bases" if "max_bases" in detect else "k_max"
+        message = f"must lie in 1..K(min n)={horizon}"
+        self.k_max = top["k_max"]
+        _require(1 <= self.k_max <= horizon, self._set_by["k_max"], message)
+        self.fit_r, self.max_bases = top["fit"]["r"], top["detect"]["max_bases"]
         # run checks a rule of the analysis only when its section is set
         self.check_analysis(fit="fit" in raw, window="detect" in raw)
-
-        est = _section(raw, "estimate", {"theta"})
-        self.theta = _float(est.get("theta", 0.3), "estimate.theta")
-        _require(self.theta > 0, "estimate.theta", "must be positive")
-
-        self.certify = None
-        if raw.get("certify") is not None:
-            cert = _section(raw, "certify", {"D", "L", "epsilon", "alpha", "theta"})
-            d = _int64(cert.get("D", 2), "certify.D")
-            _require(d >= 0 and d % 2 == 0, "certify.D", "must be even and >= 0")
-            eps = _float(cert.get("epsilon", 0.5), "certify.epsilon")
-            _require(eps > 0, "certify.epsilon", "must be positive")
-            alpha = _float(cert.get("alpha", 1.0), "certify.alpha")
-            _require(alpha > 0, "certify.alpha", "must be positive")
-            bases = cert.get("L", [])
-            _require(isinstance(bases, list), "certify.L", "must be a list")
-            bases = tuple(_float(x, f"certify.L[{i}]") for i, x in enumerate(bases))
-            pair = coincident_pair(bases)
-            if pair is not None:
-                raise ConfigError(
-                    f"entries {pair[0]} and {pair[1]} coincide within {BASE_TOL}",
-                    "certify.L",
-                )
-            theta = None
-            if "theta" in cert:
-                theta = _float(cert["theta"], "certify.theta")
-                _require(theta > 0, "certify.theta", "must be positive")
-            self.certify = {
-                "D": d,
-                "L": bases,
-                "epsilon": eps,
-                "alpha": alpha,
-                "theta": theta,
-            }
-
-        self.out_dir = raw.get("out_dir", "out")
-        _require(
-            isinstance(self.out_dir, str) and self.out_dir != "",
-            "out_dir",
-            f"must be a nonempty string, got {self.out_dir!r}",
-        )
+        self.theta = top["estimate"]["theta"]
+        self.certify = top["certify"]
+        pair = self.certify and coincident_pair(self.certify["L"])
+        if pair:
+            message = f"entries {pair[0]} and {pair[1]} coincide within {BASE_TOL}"
+            raise ConfigError(message, "certify.L")
+        self.out_dir = top["out_dir"]
 
     @cached_property
     def model(self):
@@ -378,7 +358,7 @@ class Experiment:
         if fit:
             _require(
                 len(self.n_grid) >= self.fit_r + 1,
-                self._fit_field,
+                self._set_by["fit.r"],
                 f"fit order r={self.fit_r} needs at least {self.fit_r + 1} "
                 f"grid points, got {len(self.n_grid)}",
             )
@@ -386,7 +366,7 @@ class Experiment:
             size = max(0, self.k_max - DETECT_K_MIN + 1)
             _require(
                 size >= 2 * self.max_bases + 2,
-                self._window_field,
+                self._set_by["detect.max_bases"],
                 f"detection window k={DETECT_K_MIN}..{self.k_max} holds {size} "
                 f"values, fewer than 2*max_bases+2 = {2 * self.max_bases + 2}",
             )

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import PlantedConfig, _plant_probabilities
+from .config import PlantedConfig, _grid, _plant_probabilities
 from .errors import DimensionMismatchError, StreamMismatchError
 from .spectral import Spectra, SpectrumSample, hashimoto_from_adjacency, sym_eigs
 
@@ -205,10 +205,7 @@ class LiftConfig:
         object.__setattr__(self, "degree", d)
         if d < 3 and self.hashimoto:
             raise ValueError("directed-edge mapping needs degree >= 3")
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "n_grid", _grid(self.n_grid))
         root = float(np.sqrt(d - 1))
         object.__setattr__(self, "lambda0", root if self.hashimoto else 2.0 * root)
         object.__setattr__(self, "lambda1", float(d - 1 if self.hashimoto else d))

@@ -153,6 +153,15 @@ def test_bad_integer_field_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [5, None, {"x": 1}, "ab"])
+@pytest.mark.parametrize("field", ["model.fixed_part", "model.plants"])
+def test_model_lists_must_be_lists(tmp_path, capsys, field, value):
+    # like certify.L: an object or string is not iterated as a list
+    cfg = write_config(tmp_path, overrides={field: value})
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {field}: must be a list\n"
+
+
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
