@@ -27,6 +27,7 @@ AMPLITUDE_FLOOR = 1e-3   # relative to the largest fitted amplitude
 LAMBDA1_SLACK = 0.05     # detected |base| may exceed lambda1 by this much
 NOISE_SIGMA = 4.0        # contribution must exceed this many stderr units
 NUM_EPS = 1e-13          # relative float-noise floor of the expansion fit
+TINY = np.finfo(float).smallest_normal  # least se whose reciprocal is finite
 
 # Draws per reduction block: bounds the temporaries, and fixes the order in
 # which the per-draw power sums are added, hence the bits of the means.
@@ -198,8 +199,12 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     """Weighted least squares of the trace means against (1, 1/n, ..., n**-(r-1)).
 
     Every table must hold the same ks, or WindowTooShortError is raised.
-    Weights are 1/stderr**2, unit where stderr is zero.  Tables are sorted
-    by n internally, so the coefficients do not depend on input order.
+    Each mean is weighted by 1/se**2 (its rows scaled by 1/se), where se =
+    max(stderr, NUM_EPS * |mean|): a stderr below the mean's rounding floor
+    weighs the same as a zero one.  The weight is unit where se is zero, and
+    a subnormal se counts as TINY, so that 1/se stays finite.
+    Tables are sorted by n internally, so the coefficients do not depend on
+    input order.
     """
     if r < 1:
         raise ValueError("expansion order r must be >= 1")
@@ -224,8 +229,9 @@ def fit_expansion(tables: Sequence[TraceTable], r: int) -> ExpansionEstimate:
     solve_maps = np.zeros((len(ks), r, len(ns)))
     worst_cond = 0.0
     for row, (k, y, se) in enumerate(zip(ks, means, stderrs)):
-        w = np.where(se > 0, 1.0 / np.where(se > 0, se, 1.0) ** 2, 1.0)
-        sw = np.sqrt(w)
+        # a stderr below the mean's own rounding floor is rounding noise
+        se = np.maximum(se, NUM_EPS * np.abs(y))
+        sw = np.where(se > 0, 1.0 / np.maximum(se, TINY), 1.0)
         a = design * sw[:, None]
         cond = float(np.linalg.cond(a))
         worst_cond = max(worst_cond, cond)
