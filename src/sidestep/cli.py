@@ -5,8 +5,10 @@ schema field "sidestep-config/1" selects the model, dimension grid, sample
 counts, and pipeline parameters; unknown fields are rejected.  Outputs are
 plot-ready CSV files plus short text summaries; identical config and seed
 produce byte-identical files.  ``run`` draws every sample once and keeps
-the spectra in ``spectra_n{n}.npz``; analyze and certify reduce their trace
-tables from that store as ``run`` does and draw nothing, but for certify's
+the spectra in ``spectra_n{n}.npz``, each distinct draw once with the
+entry of every draw (a ``Spectra`` store); analyze and certify reduce
+their trace tables from that store as ``run`` does, one power sum per
+distinct draw weighted by its count, and draw nothing, but for certify's
 flag pass, which re-draws the stored draws outside the exceptional region.
 
 Config parsing lives in ``sidestep.config``, which needs no numpy; this
@@ -205,12 +207,13 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
         stores, exp.k_max, exp.fit_r, lam0, lam1, exp.max_bases
     )
 
-    # Markov-type filter certificates, one per dimension, on the first draws.
+    # Markov-type filter certificates, one per dimension, on the first draws,
+    # one weighted sample per distinct draw among them.
     markov = []
     count = min(exp.m, 200)
     for n, spectra in stores.items():
         k = min(params.even_k_near(n), k_cap - k_cap % 2)
-        samples = [spectra.sample(i, weight=1.0 / count) for i in range(count)]
+        samples = spectra.first_draws(count)
         markov.append(certify_markov(samples, d, bases, theta, eps, k, n, lam0))
     # Exceptional-eigenvalue decay across the grid.
     report = verify_exceptional_bound(exp.model, stores, params, bases, theta)

@@ -10,6 +10,7 @@ counting eigenvalues in shrinking windows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -29,8 +30,7 @@ NOISE_SIGMA = 4.0        # contribution must exceed this many stderr units
 NUM_EPS = 1e-13          # relative float-noise floor of the expansion fit
 TINY = np.finfo(float).smallest_normal  # least se whose reciprocal is finite
 
-# Draws per reduction block: bounds the temporaries, and fixes the order in
-# which the per-draw power sums are added, hence the bits of the means.
+# Stored entries per power-sum block: bounds the temporaries only.
 _CHUNK = 2048
 
 # numpy's complex power raises to an integer exponent |k| < 100 by a
@@ -95,10 +95,10 @@ def _real_powers(values: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
-    """Real power sums sum(lambda**k) of draws lo..hi-1, shape (hi - lo, len(ks)).
+    """Real power sums sum(lambda**k) of entries lo..hi-1, shape (hi - lo, len(ks)).
 
-    One ``bincount`` per k adds each draw's stored values in stored order,
-    from +0; a draw that keeps no values gets a zero row.
+    One ``bincount`` per k adds each entry's stored values in stored order,
+    from +0; an entry that keeps no values gets a zero row.
     """
     offsets = spectra.offsets[lo : hi + 1]
     owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
@@ -109,23 +109,48 @@ def _draw_power_sums(spectra: Spectra, lo: int, hi: int, ks: np.ndarray) -> np.n
     return sums
 
 
+def _scaled_ints(sums: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """Integers a[k] and exponents q[k] with sums[:, k] = a[k] * 2**q[k]
+    exactly; a[k] is None where the column is not finite."""
+    finite = np.isfinite(sums)
+    mant, exp = np.frexp(np.where(finite, sums, 0.0))
+    digits = (mant * 2.0**53).astype(np.int64)  # exact: 53-bit mantissas
+    exp -= 53
+    used = digits != 0
+    q = np.where(used, exp, np.iinfo(exp.dtype).max).min(axis=0)
+    q = np.where(used.any(axis=0), q, 0)  # an all-zero column needs no scale
+    shift = np.where(used, exp - q, 0)
+    ints = [
+        list(map(operator.lshift, d, b)) if ok else None
+        for d, b, ok in zip(digits.T.tolist(), shift.T.tolist(), finite.all(axis=0))
+    ]
+    return ints, q.tolist()
+
+
+def _rounded(num: int, den: int, q: int) -> float:
+    """num * 2**q / den, rounded once (``int / int`` is correctly rounded)."""
+    return num / (den << -q) if q < 0 else (num << q) / den
+
+
 def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     """Monte Carlo estimate of the mean power-sum trace for k = 1..k_max.
 
-    Reduces the stored draws in blocks of _CHUNK draws in draw order.  A
-    second pass recomputes each block's power sums and adds the outer
-    products of their deviations from the mean, so a column that is the
-    same in every draw gets a covariance at rounding level, never a
-    negative variance, and no (m x k_max) matrix is held.  Power sums that
-    overflow raise SidestepError naming n and the first k whose mean or
-    stderr is not finite.
+    The power sums of each stored entry, weighted by how many draws are
+    that entry, give the sample mean and the covariance of the mean
+    (sample covariance / m).  Each mean and covariance entry is the exact
+    rational of those float power sums, rounded once: every float is an
+    integer times a power of two, so the sums of c * I_k and c * I_k * I_l
+    are formed in Python integers and divided once.  So the bits depend
+    only on the multiset of draws, not on how the store groups them or on
+    their order; a column that is the same in every draw gets exactly zero
+    variance.  A power sum that is not finite, or a variance that overflows
+    a float, raises SidestepError naming n and the first such k.
 
-    Four things fix the bits of the result for given (spectra, k_max):
-    the _CHUNK-draw blocks, added in draw order; each draw's power sum
-    added in stored order; powers of real values with k < 100 taken by
-    numpy's complex-power multiplication chain (``_real_powers``), which
-    plain float ``x**k`` through libm ``pow`` would not match; and no BLAS
-    call, so the result does not depend on the BLAS thread count either.
+    An entry's power sum adds its stored values in stored order, from +0,
+    and takes the powers of real values with k < 100 by numpy's
+    complex-power multiplication chain (``_real_powers``), which plain
+    float ``x**k`` through libm ``pow`` would not match.  No BLAS call is
+    made, so the result does not depend on the BLAS thread count.
     """
     n, m = spectra.n, spectra.m
     if m < 2:
@@ -133,25 +158,38 @@ def mc_expected_trace(spectra: Spectra, k_max: int) -> TraceTable:
     if k_max < 1 or k_max > trace_horizon(n):
         raise ValueError(f"k_max={k_max} outside 1..K(n)={trace_horizon(n)}")
     ks = np.arange(1, k_max + 1)
-    blocks = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
-    total = np.zeros(k_max)
-    scatter = np.zeros((k_max, k_max))
+    entries = len(spectra.counts)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
-        for lo, hi in blocks:
-            total += _draw_power_sums(spectra, lo, hi, ks).sum(axis=0)
-        means = total / m
-        for lo, hi in blocks:
-            d = _draw_power_sums(spectra, lo, hi, ks) - means
-            scatter += np.einsum("ik,il->kl", d, d)
-    table = TraceTable(n, ks, means, scatter / (m - 1) / m)
-    bad = ~(np.isfinite(means) & np.isfinite(table.stderrs))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SidestepError(
-            f"trace table at n={n} is not finite at k={ks[k]} (mean {means[k]:.6g}, "
-            f"stderr {table.stderrs[k]:.6g}): the power sums overflow a float"
-        )
-    return table
+        sums = np.concatenate([
+            _draw_power_sums(spectra, lo, min(lo + _CHUNK, entries), ks)
+            for lo in range(0, entries, _CHUNK)
+        ])
+    ints, exps = _scaled_ints(sums)
+    counts = spectra.counts.tolist()
+    totals = []
+    means = np.empty(k_max)
+    covariance = np.empty((k_max, k_max))
+    for k, a in enumerate(ints):
+        if a is None:
+            raise _not_finite(n, k + 1, "a draw's power sum is not finite")
+        weighted = list(map(operator.mul, counts, a))
+        totals.append(sum(weighted))
+        # a mean of finite floats lies between them: it cannot overflow
+        means[k] = _rounded(totals[k], m, exps[k])
+        try:
+            for l in range(k, -1, -1):  # the variance first: it bounds the rest
+                scatter = m * sum(map(operator.mul, weighted, ints[l]))
+                scatter -= totals[k] * totals[l]
+                covariance[k, l] = covariance[l, k] = _rounded(
+                    scatter, (m - 1) * m * m, exps[k] + exps[l]
+                )
+        except OverflowError:
+            raise _not_finite(n, k + 1, "the stderr overflows a float") from None
+    return TraceTable(n, ks, means, covariance)
+
+
+def _not_finite(n: int, k: int, why: str) -> SidestepError:
+    return SidestepError(f"trace table at n={n} is not finite at k={k} ({why})")
 
 
 def exact_trace_table(model, n: int, k_max: int) -> TraceTable:

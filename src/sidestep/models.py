@@ -23,9 +23,10 @@ planted dimension has one stream, keyed by (seed, n), whose counter counts
 draws (``_plant_rng``), so a block of draws is one ``random`` call.
 Changing a stream re-pins its model's outputs (README, "planted stream
 contract").  ``draw_spectra`` draws i = 0..m-1 of a dimension once, planted
-draws a block at a time; its ``Spectra`` store feeds every statistic, and
-only the flag pass of ``theorem.verify_exceptional_bound`` samples again,
-the stored draws outside its region.
+draws a block at a time and grouped into their distinct draws; its
+``Spectra`` store feeds every statistic, and only the flag pass of
+``theorem.verify_exceptional_bound`` samples again, the stored draws
+outside its region.
 
 The planted parameters (``Plant``, ``PlantedConfig``) and config parsing
 live in ``sidestep.config``, which needs no numpy; this module holds the
@@ -59,6 +60,20 @@ def sample_seed(seed: int, n: int, index: int) -> np.random.SeedSequence:
 _BLOCK = 4096  # draws per block in draw_spectra
 
 
+_STREAM_SEEDS: dict[tuple, np.random.SeedSequence] = {}
+
+
+def _stream_seed(entropy, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """``SeedSequence(entropy, spawn_key=key)``, hashed once per stream (the
+    last 64 streams are kept)."""
+    seq = _STREAM_SEEDS.get((entropy, key))
+    if seq is None:
+        if len(_STREAM_SEEDS) >= 64:
+            _STREAM_SEEDS.clear()
+        seq = _STREAM_SEEDS[entropy, key] = np.random.SeedSequence(entropy, spawn_key=key)
+    return seq
+
+
 def _plant_rng(seed, p: int) -> np.random.Generator:
     """Planted draw i of ``sample_seed(seed, n, i)`` with p plants: the Philox
     stream keyed by ``SeedSequence(seed, spawn_key=(n,))`` from counter block
@@ -66,7 +81,7 @@ def _plant_rng(seed, p: int) -> np.random.Generator:
     key, i = (), 0
     if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
         seed, (*key, i) = seed.entropy, seed.spawn_key
-    bg = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+    bg = np.random.Philox(_stream_seed(seed, tuple(key)))
     return np.random.Generator(bg.advance(i * -(-p // 4)))
 
 
@@ -78,31 +93,42 @@ def _nonzero(sample: SpectrumSample) -> np.ndarray:
 def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
     """Draw samples i = 0..m-1 of dimension n once and keep their spectra.
 
-    A model with a ``draw_block`` hook draws up to _BLOCK samples at once;
-    the first and last draw of every block are re-drawn through
-    ``model.sample`` and must match bit for bit (``planted_block`` also
-    checks those draws' raw uniforms).  Other models are sampled one draw
-    at a time.
+    A model with a ``draw_block`` hook draws up to _BLOCK samples at once,
+    as the distinct draws of the block and the one each draw is; the store
+    keeps each distinct draw once, in order of its first draw.  The first
+    and last draw of every block are re-drawn through ``model.sample`` and
+    must match bit for bit (``planted_block`` also checks those draws' raw
+    uniforms).  Other models are sampled one draw at a time, one entry per
+    draw.
     """
     if m < 1:
         raise ValueError(f"need at least 1 sample, got {m}")
     if hasattr(model, "draw_block"):
-        parts, sizes = [], [np.zeros(1, dtype=np.int64)]
+        index: dict[bytes, int] = {}  # a distinct draw's bytes -> its entry
+        parts, sizes = [], [0]
+        draws = np.empty(m, dtype=np.int64)
         for start in range(0, m, _BLOCK):
             count = min(_BLOCK, m - start)
-            values, counts = model.draw_block(n, seed, start, count)
-            last = len(values) - counts[-1]
-            ends = {start: values[: counts[0]], start + count - 1: values[last:]}
-            for i, drawn in ends.items():
+            values, counts, rows = model.draw_block(n, seed, start, count)
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            entries = [values[bounds[e] : bounds[e + 1]] for e in range(len(counts))]
+            for i in (start, start + count - 1):
+                drawn = entries[rows[i - start]]
                 reference = model.sample(n, sample_seed(seed, n, i))
                 if reference.n != n or not np.array_equal(drawn, _nonzero(reference)):
                     raise StreamMismatchError(
                         f"block draw differs from model.sample at n={n}, i={i}"
                     )
-            parts.append(values)
-            sizes.append(counts)
-        offsets = np.cumsum(np.concatenate(sizes))
-        return Spectra(n, m, seed, n, np.concatenate(parts), offsets)
+            local = np.empty(len(entries), dtype=np.int64)
+            for e, entry in enumerate(entries):
+                key = entry.tobytes()
+                if key not in index:
+                    index[key] = len(parts)
+                    parts.append(entry)
+                    sizes.append(len(entry))
+                local[e] = index[key]
+            draws[start : start + count] = local[rows]
+        return Spectra(n, m, seed, n, np.concatenate(parts), np.cumsum(sizes), draws)
     parts = []
     sizes = np.zeros(m + 1, dtype=np.int64)
     dim = None
@@ -117,7 +143,8 @@ def draw_spectra(model, n: int, m: int, seed: int) -> Spectra:
         sizes[i + 1] = len(nonzero)
         if len(parts) == 4096:  # bound the count of small arrays alive
             parts = [np.concatenate(parts)]
-    return Spectra(n, m, seed, dim, np.concatenate(parts), np.cumsum(sizes))
+    values = np.concatenate(parts)
+    return Spectra(n, m, seed, dim, values, np.cumsum(sizes), np.arange(m))
 
 
 def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
@@ -132,19 +159,19 @@ def planted_sample(cfg: PlantedConfig, n: int, seed) -> SpectrumSample:
 
 def planted_block(
     cfg: PlantedConfig, n: int, seed: int, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draws start..start+count-1 exactly as ``planted_sample`` makes them
     from ``sample_seed(seed, n, i)``, read in one ``random((count, 4s))``
-    call: their nonzero eigenvalues in draw order, and how many each draw
-    keeps.  The raw uniforms of the first and last draw must equal their
-    per-draw generators' bit for bit, or StreamMismatchError names n and i.
+    call, grouped by which plants are present: the nonzero eigenvalues of
+    each distinct draw, concatenated in order of its first draw, how many
+    each keeps, and the distinct draw of each draw.  The raw uniforms of
+    the first and last draw must equal their per-draw generators' bit for
+    bit, or StreamMismatchError names n and i.
     """
     probs = _plant_probabilities(cfg, n)
     p = len(probs)
     row = np.array([*cfg.fixed_part, *(q.ell for q in cfg.plants)], dtype=complex)
     fixed = len(cfg.fixed_part)
-    mask = np.empty((count, len(row)), dtype=bool)
-    mask[:, :fixed] = row[:fixed] != 0
     rng = _plant_rng(sample_seed(seed, n, start), p)
     u = rng.random((count, 4 * -(-p // 4)))[:, :p]
     for i in (start, start + count - 1):
@@ -153,8 +180,21 @@ def planted_block(
             raise StreamMismatchError(
                 f"block uniforms differ from the per-draw stream at n={n}, i={i}"
             )
-    mask[:, fixed:] = u < probs
-    return np.broadcast_to(row, mask.shape)[mask], np.count_nonzero(mask, axis=1)
+    # one spare False column keeps each packed key at least a byte wide
+    present = np.zeros((count, p + 1), dtype=bool)
+    np.less(u, probs, out=present[:, :p])
+    keys = np.packbits(present, axis=1)
+    _, first, inverse = np.unique(
+        keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)  # distinct draws in order of their first draw
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mask = np.empty((len(order), len(row)), dtype=bool)
+    mask[:, :fixed] = row[:fixed] != 0
+    mask[:, fixed:] = present[first[order], :p]
+    values = np.broadcast_to(row, mask.shape)[mask]
+    return values, np.count_nonzero(mask, axis=1), rank[inverse.ravel()]
 
 
 def planted_exact_trace(cfg: PlantedConfig, n: int, k: int) -> float:

@@ -50,12 +50,17 @@ class Region:
             mask |= np.abs(eigs - p) <= self.point_radius
         return mask
 
-    def count(self, values: np.ndarray, size: int) -> int:
-        """Members of a multiset of ``size`` eigenvalues: ``values`` and
-        ``size - len(values)`` zeros."""
-        inside = int(np.count_nonzero(self.member_mask(values)))
+    def count(self, values: np.ndarray, size: int, times=None) -> int:
+        """Members of a multiset of ``size`` eigenvalues: ``values``, value i
+        ``times[i]`` times (once each without ``times``), and zeros for the
+        rest."""
+        mask = self.member_mask(values)
+        if times is None:
+            inside, stored = int(np.count_nonzero(mask)), len(values)
+        else:
+            inside, stored = int(times[mask].sum()), int(times.sum())
         if self.member_mask(np.zeros(1))[0]:
-            inside += size - len(values)
+            inside += size - stored
         return inside
 
 
@@ -86,13 +91,16 @@ class SpectrumSample:
 
 @dataclass(frozen=True, eq=False)
 class Spectra:
-    """All m draws of dimension n under one seed, stored compactly.
+    """All m draws of dimension n under one seed, each distinct draw kept once.
 
-    ``values`` holds the nonzero eigenvalues of every draw, concatenated in
-    draw order; draw i owns ``values[offsets[i]:offsets[i + 1]]`` and
-    ``dim`` minus that many zeros.  A zero adds nothing to a power sum and
-    lies in a region or not as a whole, so the store answers every count
-    and trace question about the draws exactly.
+    The store holds entries: entry e owns ``values[offsets[e]:offsets[e + 1]]``,
+    nonzero eigenvalues in their stored order, and ``dim`` minus that many
+    zeros.  Draw i is entry ``draws[i]``, and ``counts[e]`` draws are entry
+    e; every entry is some draw's.  A planted store keeps each distinct
+    draw once, a lift store one entry per draw.  A zero adds nothing to a
+    power sum and lies in a region or not as a whole, so the store answers
+    every count and trace question about the draws exactly.  ``draws`` is
+    held in the smallest unsigned integer type that names every entry.
     """
 
     n: int
@@ -101,32 +109,59 @@ class Spectra:
     dim: int
     values: np.ndarray
     offsets: np.ndarray
+    draws: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
         offsets = np.asarray(self.offsets, dtype=np.int64)
-        if values.ndim != 1 or offsets.shape != (self.m + 1,):
-            raise ValueError("need 1-d values and m + 1 offsets")
+        draws = np.asarray(self.draws)
+        if values.ndim != 1 or offsets.ndim != 1 or len(offsets) < 2:
+            raise ValueError("need 1-d values and at least 2 offsets")
+        entries = len(offsets) - 1
         sizes = np.diff(offsets)
         if offsets[0] != 0 or offsets[-1] != len(values):
             raise ValueError("offsets must run from 0 to len(values)")
         if np.any(sizes < 0) or np.any(sizes > self.dim):
-            raise ValueError(f"each draw must keep 0..dim={self.dim} values")
+            raise ValueError(f"each entry must keep 0..dim={self.dim} values")
         if np.any(values == 0):
             raise ValueError("stored values must be nonzero")
-        for arr in (values, offsets):
+        if self.m < 1 or draws.shape != (self.m,) or draws.dtype.kind not in "iu":
+            raise ValueError(f"need one integer entry index per draw, m={self.m}")
+        if draws.min() < 0 or draws.max() >= entries:
+            raise ValueError(f"draw entry indices must lie in 0..{entries - 1}")
+        counts = np.bincount(draws.astype(np.intp), minlength=entries)
+        if not counts.all():
+            raise ValueError(f"entry {int(np.argmin(counts))} is no draw's")
+        draws = draws.astype(np.min_scalar_type(entries - 1))
+        for name, arr in (("values", values), ("offsets", offsets),
+                          ("draws", draws), ("counts", counts)):
             arr.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "offsets", offsets)
+            object.__setattr__(self, name, arr)
+
+    def entry(self, e: int) -> np.ndarray:
+        """The stored values of entry e, a view."""
+        return self.values[self.offsets[e] : self.offsets[e + 1]]
 
     def sample(self, i: int, weight: float = 1.0) -> SpectrumSample:
-        """Draw i, a view of its stored values."""
-        values = self.values[self.offsets[i] : self.offsets[i + 1]]
-        return SpectrumSample(values, weight=weight, n=self.dim)
+        """Draw i, a view of its entry's stored values."""
+        return SpectrumSample(self.entry(self.draws[i]), weight=weight, n=self.dim)
+
+    def first_draws(self, count: int) -> list[SpectrumSample]:
+        """Draws 0..count-1 as a weighted family: one sample per entry among
+        them, in entry order, weighted by its share of the count draws."""
+        times = np.bincount(self.draws[:count], minlength=len(self.counts))
+        return [
+            SpectrumSample(self.entry(e), weight=int(times[e]) / count, n=self.dim)
+            for e in np.flatnonzero(times)
+        ]
+
+    def owners(self) -> np.ndarray:
+        """The entry of each stored value."""
+        return np.repeat(np.arange(len(self.counts)), np.diff(self.offsets))
 
     def region_count(self, region: Region) -> int:
         """Eigenvalues inside the region, summed over all m draws."""
-        return region.count(self.values, self.m * self.dim)
+        return region.count(self.values, self.m * self.dim, self.counts[self.owners()])
 
     def save(self, path) -> None:
         """Write an uncompressed ``.npz``; equal stores give equal bytes."""
@@ -138,6 +173,7 @@ class Spectra:
             dim=self.dim,
             values=self.values,
             offsets=self.offsets,
+            draws=self.draws,
         )
 
     @classmethod
@@ -150,6 +186,7 @@ class Spectra:
                 int(data["dim"]),
                 data["values"],
                 data["offsets"],
+                data["draws"],
             )
 
 

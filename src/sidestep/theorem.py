@@ -461,11 +461,9 @@ def verify_exceptional_bound(
             # the store holds draws 0..count-1 bit for bit, less their zeros,
             # which lie in the central disk; re-draw the draws it shows outside
             count = min(spectra.m, 2000)
-            values = spectra.values[: spectra.offsets[count]]
-            hits = np.searchsorted(
-                spectra.offsets, np.flatnonzero(~region.member_mask(values)), "right"
-            ) - 1
-            for i in dict.fromkeys(hits.tolist()):
+            shows = np.zeros(len(spectra.counts), dtype=bool)  # per entry
+            shows[spectra.owners()[~region.member_mask(spectra.values)]] = True
+            for i in np.flatnonzero(shows[spectra.draws[:count]]).tolist():
                 eigs = model.sample(n, sample_seed(spectra.seed, n, i)).eigenvalues
                 outside = eigs[~region.member_mask(eigs)]
                 for z in outside:

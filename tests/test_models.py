@@ -309,12 +309,17 @@ def test_block_rows_equal_per_draw_samples(seed, n, start, count, p, q):
     # level-1 plants with probability q each, so most rows differ
     plants = tuple(Plant(1.5 + 0.25 * j, q * n, 1) for j in range(p))
     cfg = PlantedConfig(1.0, 4.0, (n,), (0.5,), plants)
-    values, counts = planted_block(cfg, n, seed, start, count)
+    values, counts, rows = planted_block(cfg, n, seed, start, count)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     want = contract_uniforms(seed, n, start, count, p)
+    # each distinct draw once, numbered in order of its first draw
+    firsts = [int(np.argmax(rows == e)) for e in range(len(counts))]
+    assert firsts == sorted(firsts) and set(rows.tolist()) == set(range(len(counts)))
+    entries = {values[a:b].tobytes() for a, b in zip(offsets[:-1], offsets[1:])}
+    assert len(entries) == len(counts) <= 2**p
     for r in range(count):
         draw = sample_seed(seed, n, start + r)
         eigs = planted_sample(cfg, n, draw).eigenvalues
-        kept = values[offsets[r] : offsets[r + 1]]
+        kept = values[offsets[rows[r]] : offsets[rows[r] + 1]]
         assert kept.tobytes() == eigs[eigs != 0].tobytes()
         assert models._plant_rng(draw, p).random(p).tobytes() == want[r].tobytes()

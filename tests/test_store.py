@@ -1,6 +1,7 @@
 """Spectrum store: one draw per sample, exact region counts, exact reuse."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidestep import (
+    LiftConfig,
+    LiftModel,
     Plant,
     PlantedConfig,
     PlantedModel,
@@ -15,6 +18,7 @@ from sidestep import (
     Spectra,
     SpectrumSample,
     draw_spectra,
+    complete_graph,
     ein_eout,
     mc_expected_trace,
     sidestep_params,
@@ -25,6 +29,7 @@ from sidestep import estimation, models
 from sidestep.cli import main
 from sidestep.errors import SidestepError, StreamMismatchError
 from sidestep.estimation import region_expectations
+from sidestep.spectral import mean_real_trace
 from sidestep.models import sample_seed
 
 
@@ -84,7 +89,9 @@ def test_region_count_matches_full_arrays(draws, region):
 @settings(deadline=None)
 @given(draws=draw_sets())
 def test_store_keeps_nonzero_values_in_draw_order(draws):
+    # a model without a block hook gets one entry per draw
     spectra = draw_spectra(FixedDraws(draws), len(draws[0]), len(draws), seed=0)
+    assert spectra.draws.tolist() == list(range(len(draws)))
     for i, d in enumerate(draws):
         kept = spectra.values[spectra.offsets[i] : spectra.offsets[i + 1]]
         assert kept.tobytes() == d[d != 0].tobytes()
@@ -147,12 +154,62 @@ def test_store_saves_identical_bytes(tmp_path):
 
 
 def test_spectra_rejects_malformed_stores():
+    values, one = np.array([1.0, 2.0]), np.array([0])
     with pytest.raises(ValueError):
-        Spectra(5, 2, 0, 5, np.array([1.0, 2.0]), np.array([0, 1]))  # m + 1 offsets
+        Spectra(5, 2, 0, 5, values, np.array([0, 1]), [0, 0])  # offsets short
     with pytest.raises(ValueError):
-        Spectra(5, 1, 0, 5, np.array([1.0, 0.0]), np.array([0, 2]))  # stored zero
+        Spectra(5, 1, 0, 5, np.array([1.0, 0.0]), np.array([0, 2]), one)  # stored zero
     with pytest.raises(ValueError):
-        Spectra(1, 1, 0, 1, np.array([1.0, 2.0]), np.array([0, 2]))  # above dim
+        Spectra(1, 1, 0, 1, values, np.array([0, 2]), one)  # above dim
+    with pytest.raises(ValueError, match="entry indices"):
+        Spectra(5, 2, 0, 5, values, np.array([0, 1, 2]), [0, 2])  # no entry 2
+    with pytest.raises(ValueError, match="entry indices"):
+        Spectra(5, 2, 0, 5, values, np.array([0, 1, 2]), [-1, 1])
+    with pytest.raises(ValueError, match="entry 1 is no draw's"):
+        Spectra(5, 2, 0, 5, values, np.array([0, 1, 2]), [0, 0])  # entry 1 unused
+    with pytest.raises(ValueError):
+        Spectra(5, 2, 0, 5, values, np.array([0, 1, 2]), [0])  # one index per draw
+    with pytest.raises(ValueError):
+        Spectra(5, 2, 0, 5, values, np.array([0, 1, 2]), [0.0, 1.0])  # not integers
+
+
+def test_demo_store_keeps_each_distinct_draw_once(tmp_path):
+    # one plant: a draw has it or not, so at most 2**1 entries for 8000 draws
+    model = demo_model()
+    n, m, seed = 100, 8000, 3
+    spectra = draw_spectra(model, n, m, seed)
+    assert len(spectra.counts) <= 2 and spectra.counts.sum() == m
+    assert spectra.draws.dtype == np.uint8
+    for i in range(m):
+        values, counts, rows = model.draw_block(n, seed, i, 1)
+        assert spectra.sample(i).eigenvalues.tobytes() == values.tobytes()
+    path = tmp_path / "s.npz"
+    spectra.save(path)
+    back = Spectra.load(path)
+    for name in ("values", "offsets", "draws", "counts"):
+        got, want = getattr(back, name), getattr(spectra, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_first_draws_weigh_each_distinct_draw_by_its_share():
+    spectra = draw_spectra(demo_model(), 100, 2000, seed=5)
+    count, ks = 200, np.arange(1, 13)
+    family = spectra.first_draws(count)
+    per_draw = [spectra.sample(i, weight=1.0 / count) for i in range(count)]
+    times = np.bincount(spectra.draws[:count], minlength=len(spectra.counts))
+    assert [s.weight for s in family] == (times[times > 0] / count).tolist()
+    for region in (Region(1.5), Region(None, (2.0,), 0.1), Region(0.0)):
+        got, want = ein_eout(family, region), ein_eout(per_draw, region)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+    got, want = mean_real_trace(family, ks), mean_real_trace(per_draw, ks)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_lift_store_keeps_one_entry_per_draw():
+    model = LiftModel(LiftConfig(complete_graph(4), (3,)))
+    spectra = draw_spectra(model, 3, 5, seed=2)
+    assert len(spectra.counts) == 5 and spectra.counts.tolist() == [1] * 5
+    assert spectra.draws.tolist() == list(range(5))
 
 
 def _power_sums(eigs, k_max):
@@ -199,87 +256,147 @@ def test_trace_reduction_matches_per_draw_reference(draws, k_max):
     assert table.stderrs.tobytes() == np.sqrt(np.diag(table.covariance)).tobytes()
 
 
-def _scatter_add_sums(spectra, lo, hi, k_max):
-    """Power sums of draws lo..hi-1 by ``np.add.at`` of complex powers."""
-    offsets = spectra.offsets[lo : hi + 1]
-    owner = np.repeat(np.arange(hi - lo), np.diff(offsets))
-    sums = np.zeros((hi - lo, k_max), dtype=complex)
-    powers = spectra.values[offsets[0] : offsets[-1], None] ** np.arange(1, k_max + 1)
-    np.add.at(sums, owner, powers)
+def _scatter_add_sums(spectra, k_max):
+    """Power sums of every stored entry by ``np.add.at`` of complex powers."""
+    owner = np.repeat(np.arange(len(spectra.counts)), np.diff(spectra.offsets))
+    sums = np.zeros((len(spectra.counts), k_max), dtype=complex)
+    np.add.at(sums, owner, spectra.values[:, None] ** np.arange(1, k_max + 1))
     return sums.real
 
 
-def _scatter_add_trace(spectra, k_max):
-    """The two-pass ``np.add.at`` reduction that ``mc_expected_trace`` must
-    reproduce byte for byte: complex powers, 2048-draw blocks."""
-    m = spectra.m
-    blocks = [(lo, min(lo + 2048, m)) for lo in range(0, m, 2048)]
-    total = np.zeros(k_max)
-    for lo, hi in blocks:
-        total += _scatter_add_sums(spectra, lo, hi, k_max).sum(axis=0)
-    means = total / m
-    scatter = np.zeros((k_max, k_max))
-    for lo, hi in blocks:
-        d = _scatter_add_sums(spectra, lo, hi, k_max) - means
-        scatter += np.einsum("ik,il->kl", d, d)
-    cov = scatter / (m - 1) / m
-    return means, cov, np.sqrt(np.diag(cov))
+def _fraction_moments(sums):
+    """Means and covariance of the mean of per-draw power sums (rows), each
+    the exact ``Fraction`` rounded once; or the first k whose power sum,
+    mean or variance is not a finite float."""
+    m, k_max = sums.shape
+    means, cov = np.empty(k_max), np.empty((k_max, k_max))
+    exact, mu = [], []
+    for k in range(k_max):
+        if not np.isfinite(sums[:, k]).all():
+            return k + 1
+        exact.append([Fraction(x) for x in sums[:, k].tolist()])
+        mu.append(sum(exact[k]) / m)
+        for l in range(k, -1, -1):
+            scatter = sum((x - mu[k]) * (y - mu[l]) for x, y in zip(exact[k], exact[l]))
+            try:
+                means[k] = float(mu[k])
+                cov[k, l] = cov[l, k] = float(scatter / ((m - 1) * m))
+            except OverflowError:
+                return k + 1
+    return means, cov
 
 
-def _random_store(seed, n, m, kind, scale=1.0, max_size=3):
+def _assert_matches_reference(spectra, k_max):
+    """Each entry's power sums are the scatter-add's bit for bit, and the
+    table is the Fraction reference over the draws, or its error names the
+    first k the reference cannot give."""
+    want = _scatter_add_sums(spectra, k_max)
+    got = estimation._draw_power_sums(
+        spectra, 0, len(spectra.counts), np.arange(1, k_max + 1)
+    )
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    reference = _fraction_moments(want[spectra.draws])
+    if isinstance(reference, int):
+        message = rf"n={spectra.n} is not finite at k={reference} "
+        with pytest.raises(SidestepError, match=message):
+            mc_expected_trace(spectra, k_max)
+        return
+    table = mc_expected_trace(spectra, k_max)
+    assert table.means.tobytes() == reference[0].tobytes()
+    assert table.covariance.tobytes() == reference[1].tobytes()
+    assert table.stderrs.tobytes() == np.sqrt(np.diag(reference[1])).tobytes()
+
+
+def _random_store(seed, n, m, kind, scale=1.0, max_size=3, repeats=1):
     """m draws of 0..max_size stored values each: real non-dyadic values,
-    complex ones, or blocks of either."""
+    complex ones, or real ones but for one complex draw; each distinct
+    draw is kept once and about m / repeats are distinct."""
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(0, max_size + 1, m)
+    entries = -(-m // repeats)
+    sizes = rng.integers(0, max_size + 1, entries)
     values = scale * rng.uniform(-1, 1, sizes.sum())
     if kind == "complex":
         values = values + 1j * scale * rng.uniform(-1, 1, len(values))
-    elif kind == "mixed":  # one complex value in the second block only
+    elif kind == "mixed" and len(values):
         values = values.astype(complex)
-        start = int(sizes[:2048].sum())
-        if start < len(values):
-            values[start] += 0.25j
+        values[len(values) // 2] += 0.25j
     values[values == 0] = scale / 3
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return Spectra(n, m, seed, max_size, values, offsets)
+    draws = np.concatenate([np.arange(entries), rng.integers(0, entries, m - entries)])
+    return Spectra(n, m, seed, max_size, values, np.cumsum([0, *sizes]), draws)
 
 
-def _assert_matches_scatter_add(spectra, k_max):
-    means, cov, stderrs = _scatter_add_trace(spectra, k_max)
-    bad = ~(np.isfinite(means) & np.isfinite(stderrs))
-    if bad.any():
-        # no table: the error names the first k the reference cannot give,
-        # and the per-draw power sums keep the reference's bits wherever it
-        # is finite and are not finite wherever it is not
-        k = int(np.argmax(bad)) + 1
-        message = rf"n={spectra.n} is not finite at k={k} "
-        with pytest.raises(SidestepError, match=message):
-            mc_expected_trace(spectra, k_max)
-        ks = np.arange(1, k_max + 1)
-        for lo in range(0, spectra.m, 2048):
-            hi = min(lo + 2048, spectra.m)
-            got = estimation._draw_power_sums(spectra, lo, hi, ks)
-            want = _scatter_add_sums(spectra, lo, hi, k_max)
-            finite = np.isfinite(want)
-            assert np.array_equal(np.isfinite(got), finite)
-            assert got[finite].tobytes() == want[finite].tobytes()
-        return
+def _spread(spectra):
+    """The same draws, one entry per draw, in draw order."""
+    parts = [spectra.sample(i).eigenvalues for i in range(spectra.m)]
+    sizes = [len(p) for p in parts]
+    values = np.concatenate([np.zeros(0, complex), *parts])
+    return Spectra(
+        spectra.n, spectra.m, spectra.seed, spectra.dim, values,
+        np.cumsum([0, *sizes]), np.arange(spectra.m),
+    )
+
+
+def _table_bytes(spectra, k_max):
     table = mc_expected_trace(spectra, k_max)
-    assert table.means.tobytes() == means.tobytes()
-    assert table.covariance.tobytes() == cov.tobytes()
-    assert table.stderrs.tobytes() == stderrs.tobytes()
+    return table.means.tobytes(), table.covariance.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.integers(2, 30),
+    repeats=st.sampled_from([1, 3, 10]),
+    kind=st.sampled_from(["real", "complex", "mixed"]),
+    scale=st.sampled_from([1e-3, 0.9, 2.7]),
+    k_max=st.integers(1, 22),
+    chunk=st.sampled_from([1, 2, 7, 2048]),
+)
+def test_trace_reduction_is_the_fraction_reference(
+    seed, m, repeats, kind, scale, k_max, chunk
+):
+    # the power sums are blocked by _CHUNK entries; the table must not see it
+    spectra = _random_store(seed, 100, m, kind, scale, repeats=repeats)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_CHUNK", chunk)
+        _assert_matches_reference(spectra, k_max)
 
 
 @settings(deadline=None, max_examples=30)
 @given(
     seed=st.integers(0, 2**32),
-    m=st.one_of(st.integers(2, 40), st.sampled_from([2047, 2048, 2049, 4097])),
+    m=st.integers(2, 40),
+    repeats=st.sampled_from([1, 4]),
     kind=st.sampled_from(["real", "complex", "mixed"]),
-    scale=st.sampled_from([1e-3, 0.9, 2.7]),
-    k_max=st.integers(1, 22),
+    k_max=st.integers(1, 12),
+    data=st.data(),
 )
-def test_trace_reduction_is_bitwise_the_scatter_add(seed, m, kind, scale, k_max):
-    _assert_matches_scatter_add(_random_store(seed, 100, m, kind, scale), k_max)
+def test_trace_table_depends_only_on_the_multiset_of_draws(
+    seed, m, repeats, kind, k_max, data
+):
+    spectra = _random_store(seed, 100, m, kind, 1.3, repeats=repeats)
+    want = _table_bytes(spectra, k_max)
+    # one entry per draw instead of one per distinct draw
+    assert _table_bytes(_spread(spectra), k_max) == want
+    # the draws in another order
+    order = data.draw(st.permutations(range(m)))
+    moved = Spectra(
+        spectra.n, m, spectra.seed, spectra.dim, spectra.values, spectra.offsets,
+        spectra.draws[order],
+    )
+    assert _table_bytes(moved, k_max) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_planted_table_does_not_depend_on_the_block(monkeypatch, block):
+    model = PlantedModel(PlantedConfig(1.0, 4.0, (20,), (0.3, -0.7), PLANTED_CASES[
+        "six-plants"][1]))
+    want = _table_bytes(draw_spectra(model, 20, 300, seed=11), 10)
+    monkeypatch.setattr(models, "_BLOCK", block)
+    spectra = draw_spectra(model, 20, 300, seed=11)
+    assert _table_bytes(spectra, 10) == want
+    assert _table_bytes(_spread(spectra), 10) == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -287,20 +404,20 @@ def test_trace_reduction_is_bitwise_the_scatter_add(seed, m, kind, scale, k_max)
 @pytest.mark.parametrize(
     "kind, scale, k_max",
     [
-        ("real", 1e200, 4),  # the real chain overflows: no table
+        ("real", 1e200, 4),  # the variance overflows at k = 1: no table
         ("real", 1.05, 108),  # n = 30000 allows k >= 100, past numpy's chain
         ("complex", 1.05, 108),
     ],
 )
-def test_trace_reduction_bitwise_at_the_edges(kind, scale, k_max):
+def test_trace_reduction_is_the_reference_at_the_edges(kind, scale, k_max):
     n = 30000
     assert trace_horizon(n) >= k_max
-    _assert_matches_scatter_add(_random_store(7, n, 2049, kind, scale), k_max)
+    _assert_matches_reference(_random_store(7, n, 12, kind, scale, repeats=2), k_max)
 
 
 @pytest.mark.parametrize("mutant", ["float pow", "chain through k=100"])
 def test_bitwise_reference_sees_other_power_rules(monkeypatch, mutant):
-    # the bitwise checks above can tell numpy's complex power from libm
+    # the reference check above can tell numpy's complex power from libm
     # pow, and from the squaring chain at k = 100
     if mutant == "float pow":
         monkeypatch.setattr(
@@ -310,9 +427,22 @@ def test_bitwise_reference_sees_other_power_rules(monkeypatch, mutant):
         )
     else:
         monkeypatch.setattr(estimation, "_CHAIN_STOP", 101)
-    spectra = _random_store(7, 30000, 2049, "real", 1.05)
-    table = mc_expected_trace(spectra, 108)
-    assert table.means.tobytes() != _scatter_add_trace(spectra, 108)[0].tobytes()
+    with pytest.raises(AssertionError):
+        _assert_matches_reference(_random_store(7, 30000, 12, "real", 1.05), 108)
+
+
+@pytest.mark.parametrize("m", [2, 3, 300])
+def test_overflowing_moments_raise_naming_n_and_k(m):
+    # draws of 1e103 and of 3: every power sum through k = 2 is finite, but
+    # the k = 2 variance, about 1e412 / 4, is past the largest float
+    spectra = Spectra(40, m, 0, 1, [1e103, 3.0], [0, 1, 2], np.arange(m) % 2)
+    with pytest.raises(SidestepError, match=r"n=40 is not finite at k=2 \(the stderr"):
+        mc_expected_trace(spectra, 3)
+    # every draw 1e200: no variance, and the k = 2 power sum overflows
+    same = Spectra(40, m, 0, 1, [1e200], [0, 1], np.zeros(m, dtype=int))
+    with np.errstate(over="raise"):
+        with pytest.raises(SidestepError, match=r"n=40 is not finite at k=2 \(a draw's"):
+            mc_expected_trace(same, 3)
 
 
 def _padded(s):
@@ -333,7 +463,8 @@ def test_store_reductions_equal_per_draw_loops():
     model = demo_model()
     n, m, seed = 100, 1500, 21
     spectra = draw_spectra(model, n, m, seed)
-    # fewer than _CHUNK draws, so the chunked sum is the plain sequential one
+    # the demo's values are dyadic, so every partial sum of the per-draw loop
+    # is exact and its means are the exactly rounded ones
     means = mc_expected_trace(spectra, 12).means.tobytes()
     assert means == _reference_trace_sums(model, n, 12, m, seed).tobytes()
     regs = [
@@ -386,13 +517,19 @@ def test_verify_sidestep_reads_the_run_stores(tmp_path):
 
 
 def _reference_store(model, n, m, seed) -> Spectra:
-    """The per-draw loop: one ``model.sample`` per draw, zeros dropped."""
-    values, sizes = [np.zeros(0, dtype=complex)], [0]
+    """The per-draw loop: one ``model.sample`` per draw, zeros dropped, and
+    each distinct draw kept once, in order of its first draw."""
+    entries: dict[bytes, int] = {}
+    values, sizes, draws = [np.zeros(0, dtype=complex)], [0], []
     for i in range(m):
         eigs = model.sample(n, sample_seed(seed, n, i)).eigenvalues
-        values.append(eigs[eigs != 0])
-        sizes.append(len(values[-1]))
-    return Spectra(n, m, seed, n, np.concatenate(values), np.cumsum(sizes))
+        kept = eigs[eigs != 0]
+        if kept.tobytes() not in entries:
+            entries[kept.tobytes()] = len(entries)
+            values.append(kept)
+            sizes.append(len(kept))
+        draws.append(entries[kept.tobytes()])
+    return Spectra(n, m, seed, n, np.concatenate(values), np.cumsum(sizes), draws)
 
 
 PLANTED_CASES = {
@@ -424,6 +561,7 @@ def test_planted_block_store_equals_per_draw_loop(tmp_path, monkeypatch, case, b
     got, want = draw_spectra(model, n, m, seed), _reference_store(model, n, m, seed)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.draws.tobytes() == want.draws.tobytes()
     assert got.dim == want.dim == n
     got.save(tmp_path / "got.npz")
     want.save(tmp_path / "want.npz")
@@ -448,10 +586,13 @@ def test_block_check_compares_the_last_draw_with_model_sample(monkeypatch):
     block = PlantedModel.draw_block
 
     def dropped_last(self, n, seed, start, count):
-        values, counts = block(self, n, seed, start, count)
-        counts = counts.copy()  # the last draw loses its last eigenvalue
-        counts[-1] -= 1
-        return values[:-1], counts
+        values, counts, rows = block(self, n, seed, start, count)
+        # the last draw becomes a new distinct draw, less its last eigenvalue
+        end = int(np.sum(counts[: rows[-1] + 1]))
+        kept = values[end - counts[rows[-1]] : end - 1]
+        rows = rows.copy()
+        rows[-1] = len(counts)
+        return np.concatenate([values, kept]), [*counts, len(kept)], rows
 
     monkeypatch.setattr(PlantedModel, "draw_block", dropped_last)
     monkeypatch.setattr(models, "_BLOCK", 64)
