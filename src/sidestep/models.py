@@ -64,8 +64,8 @@ _STREAM_SEEDS: dict[tuple, np.random.SeedSequence] = {}
 
 
 def _stream_seed(entropy, key: tuple[int, ...]) -> np.random.SeedSequence:
-    """``SeedSequence(entropy, spawn_key=key)``, hashed once per stream (the
-    last 64 streams are kept)."""
+    """``SeedSequence(entropy, spawn_key=key)``, hashed once per stream and
+    kept for up to 64 streams; callers only read it."""
     seq = _STREAM_SEEDS.get((entropy, key))
     if seq is None:
         if len(_STREAM_SEEDS) >= 64:

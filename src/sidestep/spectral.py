@@ -54,13 +54,11 @@ class Region:
         """Members of a multiset of ``size`` eigenvalues: ``values``, value i
         ``times[i]`` times (once each without ``times``), and zeros for the
         rest."""
-        mask = self.member_mask(values)
         if times is None:
-            inside, stored = int(np.count_nonzero(mask)), len(values)
-        else:
-            inside, stored = int(times[mask].sum()), int(times.sum())
+            times = np.ones(len(values), dtype=np.int64)
+        inside = int(times[self.member_mask(values)].sum())
         if self.member_mask(np.zeros(1))[0]:
-            inside += size - stored
+            inside += size - int(times.sum())
         return inside
 
 
