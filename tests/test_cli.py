@@ -956,13 +956,26 @@ def test_certify_on_store_from_other_m_exits_4(tmp_path, capsys):
 
 
 def test_unreadable_spectrum_store_exits_4(tmp_path, capsys):
+    import numpy as np
+
     cfg = write_config(tmp_path, overrides={"m": 500})
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", out) == 0
+    with np.load(out / "spectra_n400.npz") as data:
+        fields = dict(data)
     (out / "spectra_n400.npz").write_bytes(b"not a zip archive")
     capsys.readouterr()
     assert run_cli("certify", "--config", cfg, "--out", out) == 4
     assert "spectra_n400.npz" in capsys.readouterr().err
+    # a store written before the draws field, and one with an empty entry
+    # that no draw uses
+    old = {k: v for k, v in fields.items() if k != "draws"}
+    unused = dict(fields, offsets=np.append(fields["offsets"], fields["offsets"][-1]))
+    for broken, why in ((old, "draws"), (unused, "is no draw's")):
+        np.savez(out / "spectra_n400.npz", **broken)
+        assert run_cli("analyze", "--config", cfg, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "unreadable spectrum store" in err and why in err
 
 
 def count_loads(monkeypatch):
