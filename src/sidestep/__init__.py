@@ -43,9 +43,8 @@ _EXPORTS = {
         "hashimoto_from_adjacency",
         "sym_eigs",
     ),
-    "config": ("Plant", "PlantedConfig", "trace_horizon"),
+    "config": ("LiftConfig", "Plant", "PlantedConfig", "trace_horizon"),
     "models": (
-        "LiftConfig",
         "LiftModel",
         "PlantedModel",
         "ValidationReport",

@@ -11,10 +11,11 @@ their trace tables from that store as ``run`` does, one power sum per
 distinct draw weighted by its count, and draw nothing, but for certify's
 flag pass, which re-draws the stored draws outside the exceptional region.
 
-Config parsing lives in ``sidestep.config``, which needs no numpy; this
-module re-exports its ``Experiment`` and ``load_experiment``.  Each command
-imports the numeric modules it uses when it runs, so ``report`` and a
-planted config's parsing start without numpy.
+Config parsing lives in ``sidestep.config``, which needs no numpy, so a
+config of either kind parses without it; this module re-exports its
+``Experiment`` and ``load_experiment``.  Each command imports the numeric
+modules it uses when it runs: ``report`` loads no numpy, and only ``run``
+and certify's flag pass build the sampler (``sidestep.models``).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
 5 certificate failure.
@@ -143,8 +144,9 @@ def cmd_analyze(exp: Experiment, out: Path) -> int:
 
     exp.check_analysis()
     stores = _load_stores(exp, out)
+    cfg = exp.model_cfg
     _, est, levels = analyze_levels(
-        stores, exp.k_max, exp.fit_r, exp.model.lambda0, exp.model.lambda1, exp.max_bases
+        stores, exp.k_max, exp.fit_r, cfg.lambda0, cfg.lambda1, exp.max_bases
     )
     _write_csv(
         out / "expansion.csv",
@@ -198,7 +200,7 @@ def cmd_certify(exp: Experiment, out: Path) -> int:
     from .theorem import certify_markov, certify_real_trace_bound, verify_exceptional_bound
 
     params, theta, k_cap = exp.check_certify()
-    lam0, lam1 = exp.model.lambda0, exp.model.lambda1
+    lam0, lam1 = exp.model_cfg.lambda0, exp.model_cfg.lambda1
     d, bases, eps = exp.certify["D"], exp.certify["L"], exp.certify["epsilon"]
     stores = _load_stores(exp, out)
     # the fit and detection feed only EnvelopeCertificate.d_sufficient and

@@ -4,20 +4,21 @@ numeric modules share with them.
 ``load_experiment`` reads a ``sidestep-config/1`` file into an
 ``Experiment`` by one schema table, ``FIELDS``, and every rule a field
 breaks raises ``ConfigError`` naming it.  Only the standard library is
-needed, so parsing a planted config imports no numpy: the planted sampler
-(``models.PlantedModel``) is built when ``Experiment.model`` is first read.
-A lift config imports ``models`` to check its base graph while parsing.
+needed, so a config of either kind parses without numpy: the sampler
+(``models.PlantedModel`` or ``models.LiftModel``) is built when
+``Experiment.model`` is first read.
 
-It also owns what both sides read: the planted model's ``Plant`` and
-``PlantedConfig``, the trace horizon K(n), ``DETECT_K_MIN``, and the rule
-that bases are distinct, more than ``BASE_TOL`` apart.
+It also owns what both sides read: the model parameters (``Plant``,
+``PlantedConfig``, and ``LiftConfig`` with its base-graph rules), the trace
+horizon K(n), ``DETECT_K_MIN``, and the rule that bases are distinct, more
+than ``BASE_TOL`` apart.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -98,6 +99,60 @@ class PlantedConfig:
         _plant_probabilities(self, self.n_grid[0])
 
 
+def _base_graph(rows: tuple[tuple[int, ...], ...]) -> int:
+    """The degree of the base graph ``rows``: a connected regular simple
+    graph, or ConfigError on base_adjacency names the first rule it breaks."""
+    v, leaf = len(rows), "base_adjacency"
+    square = v > 0 and all(len(row) == v for row in rows)
+    _require(square, leaf, "base adjacency must be square")
+    _require(rows == tuple(zip(*rows)), leaf, "base adjacency must be symmetric")
+    entries = {x for row in rows for x in row}
+    _require(entries <= {0, 1}, leaf, "base adjacency must be 0/1")
+    loops = any(rows[u][u] for u in range(v))
+    _require(not loops, leaf, "base graph must have no self loops")
+    d = sum(rows[0])
+    _require(all(sum(row) == d for row in rows), leaf, "base graph must be regular")
+    seen, todo = {0}, [0]  # grow the set reachable from vertex 0
+    while todo:
+        near = {w for w, edge in enumerate(rows[todo.pop()]) if edge} - seen
+        seen |= near
+        todo += near
+    _require(len(seen) == v, leaf, "base graph must be connected")
+    return d
+
+
+@dataclass(frozen=True)
+class LiftConfig:
+    """Random degree-n lifts of a connected d-regular base graph, given as
+    rows of 0/1 integers (a numpy array too) and kept as a tuple of int
+    tuples; ``hashimoto`` maps the new spectrum to the directed-edge one."""
+
+    base_adjacency: tuple[tuple[int, ...], ...]
+    n_grid: tuple[int, ...]
+    hashimoto: bool = True
+    # derived from the degree: the new spectrum's central radius and bound
+    lambda0: float = field(init=False, default=0.0)
+    lambda1: float = field(init=False, default=0.0)
+    degree: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        try:
+            rows = tuple(tuple(int(x) for x in row) for row in self.base_adjacency)
+        except TypeError:  # no rows of entries, which _base_graph calls not square
+            rows = ()
+        object.__setattr__(self, "base_adjacency", rows)
+        d = _base_graph(rows)
+        object.__setattr__(self, "degree", d)
+        if d < 3 and self.hashimoto:
+            raise ValueError("directed-edge mapping needs degree >= 3")
+        object.__setattr__(self, "n_grid", _grid(self.n_grid))
+        root = math.sqrt(max(d - 1, 0))  # d = 0 reads lambda0 = 0, rejected below
+        object.__setattr__(self, "lambda0", root if self.hashimoto else 2.0 * root)
+        object.__setattr__(self, "lambda1", float(d - 1 if self.hashimoto else d))
+        if not 0 < self.lambda0 < self.lambda1:
+            raise ValueError("need 0 < lambda0 < lambda1")
+
+
 def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
     if n < len(cfg.fixed_part) + len(cfg.plants):
         raise ValueError(f"n={n} too small for the configured spectrum")
@@ -170,7 +225,7 @@ def _n_grid(value, field: str) -> tuple[int, ...]:
 
 
 def _adjacency(raw, path: str) -> list[list[int]]:
-    """A list of rows of JSON integers; the graph checks are the model's."""
+    """A list of rows of JSON integers; the graph rules are LiftConfig's."""
     _require(
         isinstance(raw, list) and all(isinstance(row, list) for row in raw),
         path,
@@ -317,12 +372,12 @@ class Experiment:
             )
         try:
             if model.pop("kind") == "lift":  # the other rows are the config's fields
-                from .models import LiftConfig
-
-                self._model_cfg = LiftConfig(n_grid=self.n_grid, **model)
+                self.model_cfg = LiftConfig(n_grid=self.n_grid, **model)
             else:
                 model["plants"] = tuple(Plant(**plant) for plant in model["plants"])
-                self._model_cfg = PlantedConfig(n_grid=self.n_grid, **model)
+                self.model_cfg = PlantedConfig(n_grid=self.n_grid, **model)
+        except ConfigError as exc:  # a rule that names its field within the model
+            raise ConfigError(exc.message, f"model.{exc.field}") from exc
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc), "model") from exc
         horizon = trace_horizon(self.n_grid[0])
@@ -342,12 +397,12 @@ class Experiment:
 
     @cached_property
     def model(self):
-        """The sampler, built on first use: a planted config parses
-        without numpy, which ``models`` needs."""
+        """The sampler, built on first use: a config parses without numpy,
+        which ``models`` needs."""
         from .models import LiftModel, PlantedModel
 
-        planted = isinstance(self._model_cfg, PlantedConfig)
-        return (PlantedModel if planted else LiftModel)(self._model_cfg)
+        planted = isinstance(self.model_cfg, PlantedConfig)
+        return (PlantedModel if planted else LiftModel)(self.model_cfg)
 
     def check_analysis(self, fit: bool = True, window: bool = True) -> None:
         """The rules analyze and certify need: the fit order r needs r + 1
@@ -384,7 +439,7 @@ class Experiment:
         if self.certify is None:
             raise ConfigError("certify section required for the certify command", "certify")
         self.check_analysis()
-        lam0, lam1 = self.model.lambda0, self.model.lambda1
+        lam0, lam1 = self.model_cfg.lambda0, self.model_cfg.lambda1
         d, bases, eps = self.certify["D"], self.certify["L"], self.certify["epsilon"]
         try:
             params = exceptional_params(lam0, lam1, eps, self.certify["alpha"])

@@ -77,7 +77,7 @@ class ConfigError(SidestepError):
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
-        self.field = field
+        self.message, self.field = message, field
 
 
 class MissingInputError(SidestepError):

@@ -28,19 +28,20 @@ draws a block at a time and grouped into their distinct draws; its
 ``theorem.verify_exceptional_bound`` samples again, the stored draws
 outside its region.
 
-The planted parameters (``Plant``, ``PlantedConfig``) and config parsing
-live in ``sidestep.config``, which needs no numpy; this module holds the
-samplers and the lift's graph checks.
+The model parameters (``Plant``, ``PlantedConfig``, ``LiftConfig`` and its
+base-graph rules) and config parsing live in ``sidestep.config``, which
+needs no numpy, so a config of either kind parses without it; this module
+holds the samplers and re-exports ``LiftConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import PlantedConfig, _grid, _plant_probabilities
+from .config import LiftConfig, PlantedConfig, _plant_probabilities
 from .errors import DimensionMismatchError, StreamMismatchError
 from .spectral import Spectra, SpectrumSample, hashimoto_from_adjacency, sym_eigs
 
@@ -206,61 +207,14 @@ def planted_exact_trace(cfg: PlantedConfig, n: int, k: int) -> float:
     return float(total)
 
 
-def _validate_regular(adj: np.ndarray) -> int:
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("base adjacency must be square")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("base adjacency must be symmetric")
-    if not np.isin(adj, (0, 1)).all():
-        raise ValueError("base adjacency must be 0/1")
-    if np.any(np.diag(adj) != 0):
-        raise ValueError("base graph must have no self loops")
-    degrees = adj.sum(axis=1)
-    d = int(degrees[0])
-    if not np.all(degrees == d):
-        raise ValueError("base graph must be regular")
-    seen = np.arange(len(adj)) == 0  # grow the set reachable from vertex 0
-    for _ in range(len(adj)):
-        seen |= adj[seen].any(axis=0)
-    if not seen.all():
-        raise ValueError("base graph must be connected")
-    return d
-
-
-@dataclass(frozen=True)
-class LiftConfig:
-    base_adjacency: np.ndarray
-    n_grid: tuple[int, ...]
-    hashimoto: bool = True
-    # derived from the degree: the new spectrum's central radius and bound
-    lambda0: float = field(init=False, default=0.0)
-    lambda1: float = field(init=False, default=0.0)
-    degree: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        adj = np.asarray(self.base_adjacency, dtype=int)
-        adj.setflags(write=False)
-        object.__setattr__(self, "base_adjacency", adj)
-        d = _validate_regular(adj)
-        object.__setattr__(self, "degree", d)
-        if d < 3 and self.hashimoto:
-            raise ValueError("directed-edge mapping needs degree >= 3")
-        object.__setattr__(self, "n_grid", _grid(self.n_grid))
-        root = float(np.sqrt(d - 1))
-        object.__setattr__(self, "lambda0", root if self.hashimoto else 2.0 * root)
-        object.__setattr__(self, "lambda1", float(d - 1 if self.hashimoto else d))
-        if not 0 < self.lambda0 < self.lambda1:
-            raise ValueError("need 0 < lambda0 < lambda1")
-
-
 def complete_graph(v: int) -> np.ndarray:
     """Adjacency matrix of the complete graph on v vertices."""
     return np.ones((v, v), dtype=int) - np.eye(v, dtype=int)
 
 
 def _lift_adjacency(cfg: LiftConfig, n: int, seed) -> np.ndarray:
-    v = cfg.base_adjacency.shape[0]
-    edges = [(u, w) for u in range(v) for w in range(u + 1, v) if cfg.base_adjacency[u, w]]
+    v = len(cfg.base_adjacency)
+    edges = [(u, w) for u in range(v) for w in range(u + 1, v) if cfg.base_adjacency[u][w]]
     A = np.zeros((v * n, v * n))
     for e_idx, (u, w) in enumerate(edges):
         perm = _rng(seed, e_idx).permutation(n)
@@ -283,7 +237,7 @@ def lift_sample(cfg: LiftConfig, n: int, seed) -> SpectrumSample:
     """
     if n < 1:
         raise ValueError(f"lift degree must be >= 1, got {n}")
-    base = cfg.base_adjacency
+    base = np.array(cfg.base_adjacency)
     v = base.shape[0]
     shift = np.kron(base + (cfg.degree + 1) * np.eye(v), np.full((n, n), 1.0 / n))
     new = sym_eigs(_lift_adjacency(cfg, n, seed) - shift)[v:]

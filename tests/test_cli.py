@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -486,6 +487,41 @@ def test_lift_adjacency_entries_must_be_integers(tmp_path, capsys, entry):
     cfg.write_text(json.dumps(raw))
     assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert "config error: model.base_adjacency[2][3]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+RULE = "model.base_adjacency: base"
+
+
+@pytest.mark.parametrize(
+    ("adjacency", "hashimoto", "message"),
+    [
+        pytest.param([[0, 1, 1]], True, f"{RULE} adjacency must be square", id="square"),
+        # rows of unequal length, which numpy could not read into an array
+        pytest.param([[0, 1], [1]], True, f"{RULE} adjacency must be square", id="ragged"),
+        pytest.param([[0, 1], [0, 0]], False, f"{RULE} adjacency must be symmetric",
+                     id="symmetric"),
+        pytest.param([[0, 2], [2, 0]], False, f"{RULE} adjacency must be 0/1",
+                     id="zero-one"),
+        pytest.param([[1]], False, f"{RULE} graph must have no self loops", id="loops"),
+        pytest.param([[0, 1, 0], [1, 0, 1], [0, 1, 0]], False,
+                     f"{RULE} graph must be regular", id="regular"),
+        pytest.param([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], False,
+                     f"{RULE} graph must be connected", id="connected"),
+        # one vertex, degree 0: sqrt(d - 1) has no real value
+        pytest.param([[0]], False, "model: need 0 < lambda0 < lambda1", id="0-regular"),
+    ],
+)
+def test_lift_base_graph_errors_name_the_rule(
+    tmp_path, capsys, adjacency, hashimoto, message
+):
+    model = {"kind": "lift", "base_adjacency": adjacency, "hashimoto": hashimoto}
+    cfg = write_config(tmp_path, overrides={"model": model, "n_grid": [3, 5]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -250,6 +250,8 @@ def test_lift_spectrum_location_baseline():
 def test_lift_config_validation():
     with pytest.raises(ValueError):
         LiftConfig(np.array([[0, 1], [1, 0]]), (2,))  # degree 1 lift map
+    with pytest.raises(ValueError, match="^base_adjacency: base adjacency must be square$"):
+        LiftConfig(np.zeros(3, dtype=int), (2,))  # rows that are no sequences
     bad = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     with pytest.raises(ValueError):
         LiftConfig(bad, (2,))  # not regular
@@ -281,6 +283,115 @@ def test_lift_defaults():
     assert cfg.degree == 3
     assert cfg.lambda0 == pytest.approx(np.sqrt(2))
     assert cfg.lambda1 == pytest.approx(2.0)
+
+
+def reference_lift_params(base_adjacency, hashimoto):
+    """The numpy graph rules and radii LiftConfig had before they moved into
+    ``sidestep.config`` (``models._validate_regular`` and
+    ``LiftConfig.__post_init__``): (degree, lambda0, lambda1), or the
+    ValueError a rule raises."""
+    adj = np.asarray(base_adjacency, dtype=int)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("base adjacency must be square")
+    if not np.array_equal(adj, adj.T):
+        raise ValueError("base adjacency must be symmetric")
+    if not np.isin(adj, (0, 1)).all():
+        raise ValueError("base adjacency must be 0/1")
+    if np.any(np.diag(adj) != 0):
+        raise ValueError("base graph must have no self loops")
+    degrees = adj.sum(axis=1)
+    d = int(degrees[0])
+    if not np.all(degrees == d):
+        raise ValueError("base graph must be regular")
+    seen = np.arange(len(adj)) == 0  # grow the set reachable from vertex 0
+    for _ in range(len(adj)):
+        seen |= adj[seen].any(axis=0)
+    if not seen.all():
+        raise ValueError("base graph must be connected")
+    if d < 3 and hashimoto:
+        raise ValueError("directed-edge mapping needs degree >= 3")
+    with np.errstate(invalid="ignore"):  # d = 0: the warning went to stderr
+        root = float(np.sqrt(d - 1))
+    lambda0 = root if hashimoto else 2.0 * root
+    lambda1 = float(d - 1 if hashimoto else d)
+    if not 0 < lambda0 < lambda1:
+        raise ValueError("need 0 < lambda0 < lambda1")
+    return d, lambda0, lambda1
+
+
+GRAPH_RULES = (
+    "base adjacency must be square",
+    "base adjacency must be symmetric",
+    "base adjacency must be 0/1",
+    "base graph must have no self loops",
+    "base graph must be regular",
+    "base graph must be connected",
+)
+ENTRY = st.integers(0, 2)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix on 1..6 vertices, of 0/1 or of {0, 1, 2}, with a
+    zero diagonal or not."""
+    v, top, loops = draw(st.integers(1, 6)), draw(st.integers(1, 2)), draw(st.booleans())
+    upper = draw(st.lists(st.integers(0, top), min_size=v * v, max_size=v * v))
+    return [[(u != w or loops) * upper[min(u, w) * v + max(u, w)] for w in range(v)]
+            for u in range(v)]
+
+
+@st.composite
+def circulant_graphs(draw):
+    """Vertex i joined to i ± s for each offset s: regular, connected or not."""
+    v = draw(st.integers(1, 9))
+    offsets = draw(st.sets(st.integers(1, max(1, v // 2))))
+    return [[int(min((w - u) % v, (u - w) % v) in offsets) for w in range(v)]
+            for u in range(v)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    adjacency=st.one_of(
+        st.lists(st.lists(ENTRY, max_size=5), max_size=5),  # any shape, ragged too
+        st.integers(1, 6).flatmap(  # square
+            lambda v: st.lists(st.lists(ENTRY, min_size=v, max_size=v), min_size=v,
+                               max_size=v)
+        ),
+        symmetric_matrices(),
+        circulant_graphs(),
+    ),
+    hashimoto=st.booleans(),
+)
+@example(adjacency=[[0, 1], [1]], hashimoto=True)
+@example(adjacency=[[0]], hashimoto=False)
+@example(adjacency=[[1]], hashimoto=False)
+@example(adjacency=[[2]], hashimoto=True)
+@example(adjacency=[], hashimoto=True)
+@example(adjacency=[[]], hashimoto=True)
+@example(adjacency=complete_graph(4).tolist(), hashimoto=True)
+@example(adjacency=complete_graph(6).tolist(), hashimoto=False)
+def test_lift_config_keeps_the_numpy_rules(adjacency, hashimoto):
+    # the stdlib rules raise what the numpy ones did, a graph rule on the
+    # base_adjacency field, or give bit-equal radii; a ragged matrix, which
+    # numpy could not read, is not square
+    ragged = len({len(row) for row in adjacency}) > 1
+    inputs = [adjacency] if ragged else [adjacency, np.array(adjacency, dtype=int)]
+    try:
+        want = reference_lift_params(adjacency, hashimoto)
+    except ValueError as exc:
+        want = "base adjacency must be square" if ragged else str(exc)
+        if want in GRAPH_RULES:
+            want = f"base_adjacency: {want}"
+    for given_adjacency in inputs:
+        try:
+            cfg = LiftConfig(given_adjacency, (2,), hashimoto=hashimoto)
+        except ValueError as exc:
+            assert str(exc) == want
+            continue
+        got = (cfg.degree, cfg.lambda0.hex(), cfg.lambda1.hex())
+        assert got == (want[0], want[1].hex(), want[2].hex())
+        assert cfg.base_adjacency == tuple(map(tuple, adjacency))
+        assert {type(x) for row in cfg.base_adjacency for x in row} == {int}
 
 
 U32 = 2**32

@@ -1,5 +1,6 @@
-"""Start-up contract: parsing a planted config and ``report`` load no numpy
-and no numeric module, and the lazy package still exports every name."""
+"""Start-up contract: parsing a config of either kind and ``report`` load no
+numpy and no numeric module, ``analyze`` builds no sampler, and the lazy
+package still exports every name."""
 
 import importlib
 import json
@@ -9,7 +10,10 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import sidestep
+from sidestep.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 NUMERIC = (
@@ -53,22 +57,58 @@ print(json.dumps([parsed, code, [m for m in numeric if m in sys.modules]]))
 """
 
 
-def test_planted_parse_and_report_load_no_numeric_module(tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "run_summary.csv").write_text("n,m,k_max,spectrum_size\n100,2,4,100\n")
+# analyze reads the stores run wrote; the sampler and its streams stay unloaded
+ANALYZE = """
+import json, sys
+from sidestep.cli import main
+code = main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, [m for m in json.loads(sys.argv[3]) if m in sys.modules]]))
+"""
+
+
+def _probe(script, *args):
+    """The last stdout line of ``script`` run with ``args`` in a fresh
+    interpreter that imports this checkout's package, read as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(ROOT / "configs" / "demo.json"),
-         str(out), json.dumps(NUMERIC)],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    parsed, code, reported = json.loads(proc.stdout.splitlines()[-1])
-    assert (parsed, code, reported) == ([], 0, [])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _report_probe(tmp_path, config):
+    """Which NUMERIC modules parsing ``config`` loads, report's exit code,
+    and which report loads."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run_summary.csv").write_text("n,m,k_max,spectrum_size\n100,2,4,100\n")
+    result = _probe(PROBE, ROOT / "configs" / config, out, json.dumps(NUMERIC))
     assert (out / "report.txt").read_text().startswith("== run_summary.csv ==\n")
+    return result
+
+
+def test_planted_parse_and_report_load_no_numeric_module(tmp_path):
+    assert _report_probe(tmp_path, "demo.json") == [[], 0, []]
+
+
+def test_lift_parse_and_report_load_no_numeric_module(tmp_path):
+    assert _report_probe(tmp_path, "lift_demo.json") == [[], 0, []]
+
+
+@pytest.mark.parametrize("config", ["demo.json", "lift_demo.json"])
+def test_analyze_loads_no_sampler(tmp_path, config):
+    raw = json.loads((ROOT / "configs" / config).read_text())
+    raw["m"] = min(raw["m"], 2000)
+    path = tmp_path / config
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    sampler = json.dumps(["sidestep.models", "numpy.random"])
+    assert _probe(ANALYZE, path, out, sampler) == [0, []]
 
 
 def test_every_exported_name_is_its_modules_object():
