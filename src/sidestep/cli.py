@@ -18,16 +18,19 @@ modules it uses when it runs: ``report`` loads no numpy, and only ``run``
 and certify's flag pass build the sampler (``sidestep.models``).
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing input,
-5 certificate failure.
+5 certificate failure.  A process runs ``entry``, which ends it without the
+interpreter's shutdown collection; ``main`` is what callers in process use.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import NoReturn
 
 from .config import Experiment, _require, _seed, load_experiment
 from .errors import ConfigError, MissingInputError, PreconditionError
@@ -315,5 +318,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERIC
 
 
+def entry() -> NoReturn:
+    """The process entry point, of the ``sidestep`` script and of ``python -m
+    sidestep.cli``: run ``main`` on the command line and exit with its code.
+    However ``main`` ends (argparse exits 2 from inside it), every live object
+    is frozen first (``gc.freeze``), so the collections the interpreter runs
+    at shutdown skip the objects whose memory the exit returns anyway.  Only
+    here: ``main`` called in process freezes nothing."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -121,11 +122,24 @@ def _base_graph(rows: tuple[tuple[int, ...], ...]) -> int:
     return d
 
 
+def _entry(x) -> int:
+    """An entry of a base graph: a Python or numpy integer.  A bool, a float
+    (1.0 too) or a string is a ConfigError on base_adjacency, not the
+    integer a cast would read it as."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:  # a float, a string, numpy's bool
+            pass
+    raise ConfigError(f"base adjacency entries must be integers, got {x!r}", "base_adjacency")
+
+
 @dataclass(frozen=True)
 class LiftConfig:
     """Random degree-n lifts of a connected d-regular base graph, given as
-    rows of 0/1 integers (a numpy array too) and kept as a tuple of int
-    tuples; ``hashimoto`` maps the new spectrum to the directed-edge one."""
+    rows of 0/1 integers (a numpy array of integers too) and kept as a tuple
+    of int tuples; ``hashimoto`` maps the new spectrum to the directed-edge
+    one."""
 
     base_adjacency: tuple[tuple[int, ...], ...]
     n_grid: tuple[int, ...]
@@ -137,7 +151,7 @@ class LiftConfig:
 
     def __post_init__(self):
         try:
-            rows = tuple(tuple(int(x) for x in row) for row in self.base_adjacency)
+            rows = tuple(tuple(_entry(x) for x in row) for row in self.base_adjacency)
         except TypeError:  # no rows of entries, which _base_graph calls not square
             rows = ()
         object.__setattr__(self, "base_adjacency", rows)

@@ -1,7 +1,9 @@
 """The config schema table, ``config.FIELDS``: it covers both shipped
 configs, the README's config paragraph names every row, and a mutation
 property sends single-field mutations of the shipped configs through the
-CLI, where each must exit with its documented code and name its field."""
+CLI, where each must exit with its documented code and name its field; a
+mutation the parse accepts must read back as values of the types and bounds
+the README gives their rows."""
 
 import contextlib
 import copy
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidestep.cli import main
-from sidestep.config import FIELDS, MODELS, PLANT
+from sidestep.config import FIELDS, MODELS, PLANT, Experiment, LiftConfig, PlantedConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ("demo.json", "lift_demo.json")
@@ -194,6 +196,102 @@ def _related(named, path):
     )
 
 
+def _integer(v, low=-(2**63), high=2**63 - 1):
+    return type(v) is int and low <= v <= high
+
+
+def _number(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _positive(v):
+    return _number(v) and v > 0
+
+
+def _numbers(v):
+    return isinstance(v, tuple) and all(map(_number, v))
+
+
+def _horizon(n):
+    """K(n): the smallest even integer >= (log n)**2."""
+    k = math.ceil(math.log(n) ** 2)
+    return k + k % 2
+
+
+def _plants(exp):
+    return getattr(exp.model_cfg, "plants", ())
+
+
+def _lift(exp, name):
+    return [getattr(exp.model_cfg, name)] if isinstance(exp.model_cfg, LiftConfig) else []
+
+
+def _section(exp, name):
+    return [exp.certify[name]] if exp.certify is not None else []
+
+
+# What a parsed Experiment holds for each leaf row, and the type and bound
+# the README's config paragraph gives that row, written here apart from the
+# readers in config.FIELDS: row -> (the values read back, what each must be).
+# The integer rules use int64 bounds unless the row's are tighter; a number
+# reads back as a finite float or int, and never as a bool.
+ACCEPTED = {
+    "seed": (lambda e: [e.seed], lambda v: _integer(v, 0, math.inf)),
+    "n_grid": (lambda e: [e.n_grid], lambda g: (
+        isinstance(g, tuple) and g != () and all(map(_integer, g))
+        and g[0] >= 1 and list(g) == sorted(set(g))
+    )),
+    "m": (lambda e: [e.m], lambda v: _integer(v, 2)),
+    "model.kind": (lambda e: [type(e.model_cfg)], lambda t: t in (PlantedConfig, LiftConfig)),
+    "model.lambda0": (lambda e: [e.model_cfg.lambda0], _number),
+    "model.lambda1": (lambda e: [e.model_cfg.lambda1], _number),
+    "model.fixed_part": (lambda e: [getattr(e.model_cfg, "fixed_part", ())], _numbers),
+    "model.plants[i].ell": (lambda e: [p.ell for p in _plants(e)], _number),
+    "model.plants[i].amplitude": (lambda e: [p.amplitude for p in _plants(e)], _number),
+    "model.plants[i].level": (
+        lambda e: [p.level for p in _plants(e)], lambda v: _integer(v, -math.inf, math.inf)
+    ),
+    "model.base_adjacency": (lambda e: _lift(e, "base_adjacency"), lambda rows: (
+        isinstance(rows, tuple)
+        and all(isinstance(row, tuple) and all(map(_integer, row)) for row in rows)
+    )),
+    "model.hashimoto": (lambda e: _lift(e, "hashimoto"), lambda v: type(v) is bool),
+    # with K(min n), its upper bound
+    "k_max": (
+        lambda e: [(e.k_max, _horizon(e.n_grid[0]))], lambda vk: _integer(vk[0], 1, vk[1])
+    ),
+    "fit.r": (lambda e: [e.fit_r], lambda v: _integer(v, 1, math.inf)),
+    "detect.max_bases": (lambda e: [e.max_bases], lambda v: _integer(v, 1, math.inf)),
+    "estimate.theta": (lambda e: [e.theta], _positive),
+    "certify.D": (lambda e: _section(e, "D"), lambda v: _integer(v, 0) and v % 2 == 0),
+    "certify.epsilon": (lambda e: _section(e, "epsilon"), _positive),
+    "certify.alpha": (lambda e: _section(e, "alpha"), _positive),
+    "certify.L": (lambda e: _section(e, "L"), lambda v: _numbers(v) and all(
+        abs(a - b) > 1e-9 for i, a in enumerate(v) for b in v[i + 1 :]
+    )),
+    "certify.theta": (lambda e: _section(e, "theta"), lambda v: v is None or _positive(v)),
+    "out_dir": (lambda e: [e.out_dir], lambda v: type(v) is str and v != ""),
+}
+
+
+def test_accepted_table_has_every_leaf_row():
+    objects = {"model", "model.plants", "fit", "detect", "estimate", "certify"}
+    leaves = set(PATHS) - objects
+    assert len(leaves) == 23
+    assert leaves == set(ACCEPTED) | {"schema"}  # Experiment keeps no schema
+
+
+def _check_accepted(raw):
+    """Every row's values, as a parsed Experiment holds them, have the type
+    and bound of ACCEPTED; the schema tag, which it does not keep, is the
+    one tag."""
+    assert raw.get("schema") == "sidestep-config/1"
+    exp = Experiment(raw)
+    for row, (values, ok) in ACCEPTED.items():
+        for value in values(exp):
+            assert ok(value), f"{row} reads {value!r}"
+
+
 def _cli(command):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -233,3 +331,5 @@ def test_one_field_mutation_exits_with_its_code_naming_its_field(mutation):
             assert any(re.match(p, err) for p in NUMERIC), err
         else:
             assert code in (0, 5), (code, err)
+    if any(code != 2 for code, _ in results):
+        _check_accepted(raw)  # a value the parse accepts is one its row means

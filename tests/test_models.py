@@ -1,5 +1,7 @@
 """Planted and lift models: sampling, oracles, validation, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from sidestep import (
     trace_horizon,
 )
 from sidestep import models
-from sidestep.errors import ProbabilityError
+from sidestep.errors import ConfigError, ProbabilityError
 from sidestep.models import planted_block, sample_seed
 
 
@@ -265,6 +267,29 @@ def test_lift_config_validation():
     )
     with pytest.raises(ValueError):
         LiftConfig(disconnected, (2,), hashimoto=False)
+
+
+# 1.9, "1" and True: a cast to int read each as 1 and built K4
+@pytest.mark.parametrize(
+    "entry",
+    [1.9, "1", True, 1.0, np.float64(1.0), np.True_],
+    ids=["1.9", "str", "bool", "1.0", "float64", "numpy-bool"],
+)
+def test_lift_config_entries_must_be_integers(entry):
+    k4 = complete_graph(4).tolist()
+    k4[0][1] = entry
+    message = f"base_adjacency: base adjacency entries must be integers, got {entry!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        LiftConfig(k4, (2,))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+def test_lift_config_reads_numpy_integer_entries(dtype):
+    rows = [[dtype(x) for x in row] for row in complete_graph(4).tolist()]
+    for adjacency in (rows, complete_graph(4).astype(dtype)):
+        cfg = LiftConfig(adjacency, (2,))
+        assert cfg.degree == 3 and cfg.base_adjacency == tuple(map(tuple, complete_graph(4)))
+        assert {type(x) for row in cfg.base_adjacency for x in row} == {int}
 
 
 def test_lift_base_must_be_connected():
