@@ -2,11 +2,12 @@
 numeric modules share with them.
 
 ``load_experiment`` reads a ``sidestep-config/1`` file into an
-``Experiment`` by one schema table, ``FIELDS``, and every rule a field
-breaks raises ``ConfigError`` naming it.  Only the standard library is
-needed, so a config of either kind parses without numpy: the sampler
-(``models.PlantedModel`` or ``models.LiftModel``) is built when
-``Experiment.model`` is first read.
+``Experiment`` by one schema table, ``FIELDS``.  Every rule, the model
+configs' too, fails one way: a ``ConfigError`` naming the leaf at fault
+(``plants[0].level`` within a model, ``model.plants[0].level`` in a
+config).  Only the standard library is needed, so a config of either
+kind parses without numpy: the sampler (``models.PlantedModel`` or
+``models.LiftModel``) is built when ``Experiment.model`` is first read.
 
 It also owns what both sides read: the model parameters (``Plant``,
 ``PlantedConfig``, and ``LiftConfig`` with its base-graph rules), the trace
@@ -54,26 +55,21 @@ def coincident_pair(bases):
 
 
 def _grid(n_grid) -> tuple[int, ...]:
-    """The planted and lift configs' n_grid rule: nonempty, strictly increasing."""
+    """The one n_grid rule, of the schema and of both model configs."""
     grid = tuple(int(n) for n in n_grid)
-    if not grid or list(grid) != sorted(set(grid)):
-        raise ValueError("n_grid must be nonempty and strictly increasing")
+    _require(grid != (), "n_grid", "must be a nonempty list")
+    _require(list(grid) == sorted(set(grid)), "n_grid", "must be strictly increasing")
+    _require(grid[0] >= 1, "n_grid", "entries must be >= 1")
     return grid
 
 
 @dataclass(frozen=True)
 class Plant:
-    """One planted outlier: eigenvalue ell appears with probability C / n**j."""
+    """One planted outlier, ell with probability C / n**j; PlantedConfig checks it."""
 
     ell: float
     amplitude: float
     level: int
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("plant amplitude must be positive")
-        if self.level < 1:
-            raise ValueError("plant level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -85,18 +81,25 @@ class PlantedConfig:
     plants: tuple[Plant, ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.lambda0 < self.lambda1:
-            raise ValueError("need 0 < lambda0 < lambda1")
+        _require(0 < self.lambda0 < self.lambda1, "lambda0", "need 0 < lambda0 < lambda1")
         object.__setattr__(self, "n_grid", _grid(self.n_grid))
-        object.__setattr__(
-            self, "fixed_part", tuple(float(x) for x in self.fixed_part)
-        )
-        for x in self.fixed_part:
-            if abs(x) > self.lambda0:
-                raise ValueError(f"fixed eigenvalue {x} outside [-lambda0, lambda0]")
-        for p in self.plants:
-            if not self.lambda0 < abs(p.ell) <= self.lambda1:
-                raise ValueError(f"plant base {p.ell} outside (lambda0, lambda1]")
+        object.__setattr__(self, "fixed_part", tuple(float(x) for x in self.fixed_part))
+        for i, x in enumerate(self.fixed_part):
+            message = f"fixed eigenvalue {x} outside [-lambda0, lambda0]"
+            _require(abs(x) <= self.lambda0, f"fixed_part[{i}]", message)
+        n_max = self.n_grid[-1]
+        for i, p in enumerate(self.plants):
+            leaf = f"plants[{i}]"
+            _require(p.amplitude > 0, f"{leaf}.amplitude", "must be positive")
+            _require(p.level >= 1, f"{leaf}.level", "must be >= 1")
+            message = f"plant base {p.ell} outside (lambda0, lambda1]"
+            _require(self.lambda0 < abs(p.ell) <= self.lambda1, f"{leaf}.ell", message)
+            # C / n**level needs a float n**level at every n, checked before any power
+            _require(
+                _power_is_finite(float(n_max), p.level),
+                f"{leaf}.level",
+                f"n ** level = {n_max} ** {p.level} overflows a float at the largest n",
+            )
         _plant_probabilities(self, self.n_grid[0])
 
 
@@ -157,24 +160,26 @@ class LiftConfig:
         object.__setattr__(self, "base_adjacency", rows)
         d = _base_graph(rows)
         object.__setattr__(self, "degree", d)
-        if d < 3 and self.hashimoto:
-            raise ValueError("directed-edge mapping needs degree >= 3")
+        message = "directed-edge mapping needs degree >= 3"
+        _require(d >= 3 or not self.hashimoto, "hashimoto", message)
         object.__setattr__(self, "n_grid", _grid(self.n_grid))
         root = math.sqrt(max(d - 1, 0))  # d = 0 reads lambda0 = 0, rejected below
         object.__setattr__(self, "lambda0", root if self.hashimoto else 2.0 * root)
         object.__setattr__(self, "lambda1", float(d - 1 if self.hashimoto else d))
-        if not 0 < self.lambda0 < self.lambda1:
-            raise ValueError("need 0 < lambda0 < lambda1")
+        message = "need 0 < lambda0 < lambda1"
+        _require(0 < self.lambda0 < self.lambda1, "base_adjacency", message)
 
 
 def _plant_probabilities(cfg: PlantedConfig, n: int) -> list[float]:
+    """The probability C / n**j of each plant at dimension n."""
     if n < len(cfg.fixed_part) + len(cfg.plants):
-        raise ValueError(f"n={n} too small for the configured spectrum")
+        raise ConfigError(f"n={n} too small for the configured spectrum", "n_grid")
     probs = [p.amplitude / n**p.level for p in cfg.plants]
-    for p, q in zip(cfg.plants, probs):
+    for i, (p, q) in enumerate(zip(cfg.plants, probs)):
         if q > 1:
             raise ProbabilityError(
-                f"plant ({p.ell}, {p.amplitude}, {p.level}) has probability > 1 at n={n}"
+                f"plant ({p.ell}, {p.amplitude}, {p.level}) has probability > 1 at n={n}",
+                f"plants[{i}].amplitude",
             )
     return probs
 
@@ -232,10 +237,9 @@ def _seed(value, field: str) -> int:
 
 
 def _n_grid(value, field: str) -> tuple[int, ...]:
-    _require(isinstance(value, list) and len(value) >= 1, field, "must be a nonempty list")
-    grid = tuple(_int64(n, f"{field}[{i}]") for i, n in enumerate(value))
-    _require(list(grid) == sorted(set(grid)), field, "must be strictly increasing")
-    return grid
+    """A list of JSON int64 entries, which ``_grid``'s rule reads."""
+    _require(isinstance(value, list), field, "must be a nonempty list")
+    return _grid(_int64(n, f"{field}[{i}]") for i, n in enumerate(value))
 
 
 def _adjacency(raw, path: str) -> list[list[int]]:
@@ -292,7 +296,8 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 # REQUIRED or what a missing field reads as (None leaves it, and a null
 # object, None); with ``follows`` it is computed from that top-level field,
 # which a rule the default breaks names.  ``bound`` is (test, message), the
-# message formatted with the value.  Rules across fields are Experiment's.
+# message formatted with the value.  Rules across fields are Experiment's,
+# and those of the model parameters are the model configs'.
 PLANT = {"ell": Field(_float), "amplitude": Field(_float), "level": Field(_int)}
 MODELS = {
     "planted": {
@@ -314,7 +319,7 @@ FIELDS = {
     # a missing schema reads as "", which its bound rejects
     "schema": Field(None, "", (lambda v: v == SCHEMA, f"must be {SCHEMA!r}")),
     "seed": Field(_seed),
-    "n_grid": Field(_n_grid, bound=(lambda grid: grid[0] >= 1, "entries must be >= 1")),
+    "n_grid": Field(_n_grid),
     "m": Field(_int64, bound=(lambda m: m >= 2, "must be >= 2")),
     "model": Field(_model),
     "k_max": Field(_int64, lambda grid: min(20, trace_horizon(grid[0])), follows="n_grid"),
@@ -376,24 +381,16 @@ class Experiment:
         self._set_by = {}
         top = _walk(raw, "", FIELDS, self._set_by, error="config must be a JSON object")
         self.seed, self.n_grid, self.m = top["seed"], top["n_grid"], top["m"]
-        model, n_max = top["model"], self.n_grid[-1]
-        for i, p in enumerate(model.get("plants", ())):
-            # C / n**level needs a float n**level at every n, checked before any power
-            _require(
-                _power_is_finite(float(n_max), p["level"]),
-                f"model.plants[{i}].level",
-                f"n ** level = {n_max} ** {p['level']} overflows a float at the largest n",
-            )
+        model = top["model"]
         try:
             if model.pop("kind") == "lift":  # the other rows are the config's fields
                 self.model_cfg = LiftConfig(n_grid=self.n_grid, **model)
             else:
                 model["plants"] = tuple(Plant(**plant) for plant in model["plants"])
                 self.model_cfg = PlantedConfig(n_grid=self.n_grid, **model)
-        except ConfigError as exc:  # a rule that names its field within the model
-            raise ConfigError(exc.message, f"model.{exc.field}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), "model") from exc
+        except ConfigError as exc:  # a model rule's leaf; n_grid is the top-level one
+            field = exc.field if exc.field == "n_grid" else f"model.{exc.field}"
+            raise ConfigError(exc.message, field) from exc
         horizon = trace_horizon(self.n_grid[0])
         message = f"must lie in 1..K(min n)={horizon}"
         self.k_max = top["k_max"]

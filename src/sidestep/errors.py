@@ -45,10 +45,6 @@ class SpectralRangeError(SidestepError):
     """An eigenvalue lies outside the admissible range for a map."""
 
 
-class ProbabilityError(SidestepError):
-    """A configured event probability falls outside [0, 1]."""
-
-
 class IllConditionedError(SidestepError):
     """The expansion fit system is too ill-conditioned to trust; the
     message ends with the diagnostics, as ``(k=7, n_grid=(100, 200), r=2)``."""
@@ -73,11 +69,15 @@ class PreconditionError(SidestepError):
 
 
 class ConfigError(SidestepError):
-    """An experiment config failed schema validation."""
+    """A config or model rule failed; ``field`` names the leaf at fault."""
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
         self.message, self.field = message, field
+
+
+class ProbabilityError(ConfigError):
+    """A plant's probability C / n**j exceeds 1; ``field`` names its amplitude."""
 
 
 class MissingInputError(SidestepError):

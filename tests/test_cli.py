@@ -509,7 +509,13 @@ RULE = "model.base_adjacency: base"
         pytest.param([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], False,
                      f"{RULE} graph must be connected", id="connected"),
         # one vertex, degree 0: sqrt(d - 1) has no real value
-        pytest.param([[0]], False, "model: need 0 < lambda0 < lambda1", id="0-regular"),
+        pytest.param([[0]], False, "model.base_adjacency: need 0 < lambda0 < lambda1",
+                     id="0-regular"),
+        # K2 and K3, of degrees 1 and 2
+        pytest.param([[0, 1], [1, 0]], True,
+                     "model.hashimoto: directed-edge mapping needs degree >= 3", id="K2"),
+        pytest.param([[0, 1, 1], [1, 0, 1], [1, 1, 0]], True,
+                     "model.hashimoto: directed-edge mapping needs degree >= 3", id="K3"),
     ],
 )
 def test_lift_base_graph_errors_name_the_rule(
@@ -521,6 +527,42 @@ def test_lift_base_graph_errors_name_the_rule(
         warnings.simplefilter("always")
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+PLANT = BASE_CONFIG["model"]["plants"][0]
+
+
+# One mutant per planted model rule, each printed with the leaf at fault;
+# n_grid is the top-level field the model configs share.  The lift rules
+# are test_lift_base_graph_errors_name_the_rule's.
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        pytest.param({"model.plants": [{**PLANT, "amplitude": 0}]},
+                     "model.plants[0].amplitude: must be positive", id="amplitude-0"),
+        pytest.param({"model.plants": [{**PLANT, "amplitude": 1e9}]},
+                     "model.plants[0].amplitude: plant (2.0, 1000000000.0, 1) has "
+                     "probability > 1 at n=100", id="amplitude-1e9"),
+        pytest.param({"model.plants": [{**PLANT, "level": 0}]},
+                     "model.plants[0].level: must be >= 1", id="level-0"),
+        pytest.param({"model.plants": [{**PLANT, "ell": 0.5}]},
+                     "model.plants[0].ell: plant base 0.5 outside (lambda0, lambda1]",
+                     id="ell-0.5"),
+        pytest.param({"model.lambda0": 5}, "model.lambda0: need 0 < lambda0 < lambda1",
+                     id="lambda0-5"),
+        pytest.param({"model.fixed_part": [3.0]},
+                     "model.fixed_part[0]: fixed eigenvalue 3.0 outside [-lambda0, lambda0]",
+                     id="fixed_part"),
+        # one fixed eigenvalue and one plant need n >= 2
+        pytest.param({"n_grid": [1, 2]}, "n_grid: n=1 too small for the configured spectrum",
+                     id="n_grid"),
+    ],
+)
+def test_planted_rules_name_their_leaf(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, overrides=overrides)
+    assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 

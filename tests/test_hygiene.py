@@ -1,11 +1,14 @@
 """Static hygiene of the package source, read with the stdlib ``ast``: no
-module or function imports a name it does not use, and no module-level
-private function or constant goes unreferenced."""
+module or function imports a name it does not use, no module-level
+private function or constant goes unreferenced, and every rule in
+``config.py`` fails as a ``ConfigError``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from sidestep import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sidestep"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -133,3 +136,38 @@ def test_every_private_module_name_is_referenced():
             ):
                 unreferenced.append(f"{module}:{name}")
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def _raised(tree):
+    """The name each ``raise`` statement in ``tree`` raises or calls, or
+    None for a bare re-raise or any other expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_config_raises_only_config_errors():
+    # one error path: a rule fails with a ConfigError naming its leaf, by a
+    # raise of its own or through _require, whose raise this also reads; an
+    # attribute or a bare re-raise reads None, which no class allows
+    snippet = ast.parse(
+        "def f(x):\n"
+        "    try:\n"
+        "        g(x)\n"
+        "    except OSError as exc:\n"
+        "        raise ConfigError('no', 'x') from exc\n"
+        "    if x:\n"
+        "        raise ValueError\n"
+        "    raise errors.ConfigError('no', 'x')\n"
+        "    raise\n"
+    )
+    assert sorted(map(str, _raised(snippet))) == ["ConfigError", "None", "None", "ValueError"]
+    allowed = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.ConfigError)
+    }
+    raised = list(_raised(_tree(PACKAGE / "config.py")))
+    assert "ConfigError" in raised
+    others = sorted({str(name) for name in raised} - allowed)
+    assert not others, f"config.py raises {others}, not ConfigError or a subclass"

@@ -88,10 +88,66 @@ def test_planted_config_validation():
 def test_planted_config_names_the_plant_past_probability_one():
     # only the second plant exceeds probability 1, at the smallest n
     plants = (Plant(2.0, 5.0, 1), Plant(3.0, 50.0, 1))
-    with pytest.raises(ProbabilityError, match=r"^plant \(3.0, 50.0, 1\) has probability > 1 at n=10$"):
+    message = r"^plants\[1\]\.amplitude: plant \(3.0, 50.0, 1\) has probability > 1 at n=10$"
+    with pytest.raises(ProbabilityError, match=message):
         PlantedConfig(1.0, 4.0, (10, 100), (), plants)
-    with pytest.raises(ValueError, match="^n=2 too small for the configured spectrum$"):
+    with pytest.raises(ConfigError, match="^n_grid: n=2 too small for the configured spectrum$"):
         PlantedConfig(1.0, 4.0, (2, 4), (0.1, 0.2), (Plant(2.0, 1.0, 1),))
+
+
+# a valid plant, (ell, amplitude, level), ahead of the faulty one, whose
+# leaf then carries index 1
+VALID = (2.0, 5.0, 1)
+
+
+@pytest.mark.parametrize(
+    ("args", "plants", "leaf", "message"),
+    [
+        pytest.param((5.0, 4.0, (10,)), (), "lambda0", "need 0 < lambda0 < lambda1",
+                     id="lambda0"),
+        pytest.param((1.0, 4.0, (10,), (0.5, 3.0)), (), "fixed_part[1]",
+                     "fixed eigenvalue 3.0 outside [-lambda0, lambda0]", id="fixed_part"),
+        pytest.param((1.0, 4.0, (10,), ()), (VALID, (3.0, 0.0, 1)), "plants[1].amplitude",
+                     "must be positive", id="amplitude"),
+        pytest.param((1.0, 4.0, (10,), ()), (VALID, (3.0, 5.0, 0)), "plants[1].level",
+                     "must be >= 1", id="level"),
+        pytest.param((1.0, 4.0, (10,), ()), (VALID, (-0.5, 5.0, 1)), "plants[1].ell",
+                     "plant base -0.5 outside (lambda0, lambda1]", id="ell"),
+        # 10**400 is an integer no float holds: the rule runs before any power
+        pytest.param((1.0, 4.0, (10, 1600), ()), ((2.0, 5.0, 400),), "plants[0].level",
+                     "n ** level = 1600 ** 400 overflows a float at the largest n",
+                     id="level-overflow"),
+        pytest.param((1.0, 4.0, ()), (), "n_grid", "must be a nonempty list", id="grid-empty"),
+        pytest.param((1.0, 4.0, (10, 10)), (), "n_grid", "must be strictly increasing",
+                     id="grid-order"),
+        pytest.param((1.0, 4.0, (0, 10)), (), "n_grid", "entries must be >= 1",
+                     id="grid-zero"),
+    ],
+)
+def test_planted_config_rules_name_their_leaf(args, plants, leaf, message):
+    with pytest.raises(ConfigError) as caught:
+        PlantedConfig(*args, plants=tuple(Plant(*p) for p in plants))
+    assert (caught.value.field, caught.value.message) == (leaf, message)
+
+
+@pytest.mark.parametrize(
+    ("base", "hashimoto", "n_grid", "leaf", "message"),
+    [
+        pytest.param(2, True, (2,), "hashimoto", "directed-edge mapping needs degree >= 3",
+                     id="K2-hashimoto"),
+        pytest.param(3, True, (2,), "hashimoto", "directed-edge mapping needs degree >= 3",
+                     id="K3-hashimoto"),
+        # without the mapping, degree 1 reads lambda0 = 0 and degree 2 lambda0 = lambda1
+        pytest.param(2, False, (2,), "base_adjacency", "need 0 < lambda0 < lambda1", id="K2"),
+        pytest.param(3, False, (2,), "base_adjacency", "need 0 < lambda0 < lambda1", id="K3"),
+        pytest.param(4, True, (0, 3), "n_grid", "entries must be >= 1", id="grid-zero"),
+        pytest.param(4, True, (3, 2), "n_grid", "must be strictly increasing", id="grid-order"),
+    ],
+)
+def test_lift_config_rules_name_their_leaf(base, hashimoto, n_grid, leaf, message):
+    with pytest.raises(ConfigError) as caught:
+        LiftConfig(complete_graph(base), n_grid, hashimoto=hashimoto)
+    assert (caught.value.field, caught.value.message) == (leaf, message)
 
 
 def test_planted_exact_trace_closed_form():
@@ -344,14 +400,6 @@ def reference_lift_params(base_adjacency, hashimoto):
     return d, lambda0, lambda1
 
 
-GRAPH_RULES = (
-    "base adjacency must be square",
-    "base adjacency must be symmetric",
-    "base adjacency must be 0/1",
-    "base graph must have no self loops",
-    "base graph must be regular",
-    "base graph must be connected",
-)
 ENTRY = st.integers(0, 2)
 
 
@@ -404,13 +452,13 @@ def test_lift_config_keeps_the_numpy_rules(adjacency, hashimoto):
     try:
         want = reference_lift_params(adjacency, hashimoto)
     except ValueError as exc:
-        want = "base adjacency must be square" if ragged else str(exc)
-        if want in GRAPH_RULES:
-            want = f"base_adjacency: {want}"
+        rule = "base adjacency must be square" if ragged else str(exc)
+        leaf = "hashimoto" if rule == "directed-edge mapping needs degree >= 3" else "base_adjacency"
+        want = f"{leaf}: {rule}"
     for given_adjacency in inputs:
         try:
             cfg = LiftConfig(given_adjacency, (2,), hashimoto=hashimoto)
-        except ValueError as exc:
+        except ConfigError as exc:
             assert str(exc) == want
             continue
         got = (cfg.degree, cfg.lambda0.hex(), cfg.lambda1.hex())
